@@ -264,3 +264,92 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchZeroAllocPostings extends the allocation gate to selective
+// filters: a warmed filtered query answered from the shard postings
+// must allocate no more than the filtered CSA drain, which allocates
+// nothing — on every facade, metered and not. The Cost record proves
+// which plan ran: the postings path performs no hash-string
+// comparisons, the CSA drain (forced by a range-only filter) does.
+func TestSearchZeroAllocPostings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation; run without -race")
+	}
+	data, queries := allocWorkload(47, 2000, 12)
+	attrs := make([]Attrs, len(data))
+	for i := range attrs {
+		attrs[i] = Attrs{"tenant": IntAttr(int64(i % 100)), "pos": IntAttr(int64(i))}
+	}
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 3}
+	const k, lambda = 10, 40
+
+	ix, err := NewIndexWithAttrs(data, attrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := NewShardedIndexWithAttrs(data, attrs, cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, err := NewDynamicIndex(nil, cfg, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range data {
+		if _, err := dx.AddWithAttrs(v, attrs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dx.WaitRebuild()
+
+	selective := &Filter{Terms: []FilterTerm{EqInt("tenant", 7)}}
+	lo, hi := int64(100), int64(1900)
+	rangeOnly := &Filter{Terms: []FilterTerm{Range("pos", &lo, &hi)}}
+	for _, tc := range []struct {
+		name string
+		s    interface {
+			CostSearcher
+			FilterSearcher
+		}
+	}{{"Index", ix}, {"ShardedIndex", sx}, {"DynamicIndex", dx}} {
+		measure := func(f *Filter, co *Cost) float64 {
+			var dst []Neighbor
+			run := func(q []float32) {
+				co.Reset()
+				if co != nil {
+					dst, err = tc.s.SearchCostInto(q, k, lambda, f, dst, co, nil)
+				} else {
+					dst, err = tc.s.SearchFilterBudgetInto(q, k, lambda, f, dst)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for round := 0; round < 3; round++ {
+				for _, q := range queries {
+					run(q)
+				}
+			}
+			qi := 0
+			return testing.AllocsPerRun(200, func() {
+				run(queries[qi%len(queries)])
+				qi++
+			})
+		}
+		var co Cost
+		csa := measure(rangeOnly, &co)
+		if co.Comparisons == 0 {
+			t.Fatalf("%s: range-only filter did not drain the CSA: %+v", tc.name, co)
+		}
+		postings := measure(selective, &co)
+		if co.Candidates == 0 || (tc.name != "DynamicIndex" && co.Comparisons != 0) {
+			t.Fatalf("%s: selective filter did not take the postings path: %+v", tc.name, co)
+		}
+		if postings > csa || postings != 0 {
+			t.Fatalf("%s: postings path %v allocs/op, CSA path %v, want 0", tc.name, postings, csa)
+		}
+		if plain := measure(selective, nil); plain != 0 {
+			t.Fatalf("%s.SearchFilterBudgetInto: %v allocs/op on the postings path, want 0", tc.name, plain)
+		}
+	}
+}

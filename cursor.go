@@ -260,22 +260,15 @@ func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor 
 		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
 	}
 	need := t.offs[0] + limit
-	attrs := ix.attrs
-	accept := func(id int) bool { return f.Matches(attrs.Row(id)) }
-	if f.Empty() {
-		accept = nil
+	var accept func(int) bool
+	if !f.Empty() {
+		accept = ix.acceptFunc(f)
 	}
 	rb := ix.getRaw()
-	var list []pqueue.Neighbor
 	kFetch, lamEff := cursorFetch(need, lambda)
-	if ix.multi != nil {
-		rb.buf, _ = ix.multi.SearchFilterOffsetIntoStats(q, kFetch, lamEff, 0, accept, rb.buf[:0])
-	} else {
-		rb.buf, _ = ix.single.SearchFilterOffsetIntoStats(q, kFetch, lamEff, 0, accept, rb.buf[:0])
-	}
-	list = rb.buf
+	rb.buf, _, _ = ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, 0, f, accept, rb.buf)
 	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage([][]pqueue.Neighbor{list}, []int{need}, &t, limit, func(nb pqueue.Neighbor) {
+	exhausted := mergeCursorPage([][]pqueue.Neighbor{rb.buf}, []int{need}, &t, limit, func(nb pqueue.Neighbor) {
 		page = append(page, Neighbor{ID: nb.ID, Dist: nb.Dist})
 	})
 	ix.raw.Put(rb)
@@ -316,7 +309,7 @@ func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, 
 		requested[i] = t.offs[i] + limit
 		accept := sx.acceptFunc(f, off)
 		kFetch, lamEff := cursorFetch(requested[i], lambdaShard)
-		lists[i], _ = shard.searchFilterOffsetIntoStats(q, kFetch, lamEff, off, accept, nil)
+		lists[i], _, _ = shard.searchFilterOffsetIntoStats(q, kFetch, lamEff, off, f, accept, nil)
 	}
 	page := make([]Neighbor, 0, limit)
 	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
@@ -363,7 +356,7 @@ func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, c
 	for i, sh := range d.shards {
 		requested[i] = t.offs[i] + limit
 		kFetch, lamEff := cursorFetch(requested[i], lambda)
-		lists[i], _ = sh.ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, sh.off, d.acceptLocked(f, sh.off), nil)
+		lists[i], _, _ = sh.ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, sh.off, f, d.acceptLocked(f, sh.off), nil)
 	}
 	// The delta buffer is one exact-scan source: collect its top
 	// (consumed + limit) eligible rows. It is always fully enumerated,

@@ -129,14 +129,21 @@ type dynCtx struct {
 const DefaultRebuildThreshold = 4096
 
 // buildIndexOver resolves the configuration against a store and builds a
-// facade index — the shared path of the dynamic build sites (initial
-// build, background delta shard, compaction, snapshot tail).
-func buildIndexOver(store *vec.Store, cfg Config) (*Index, error) {
+// facade index carrying attrs (the rows' attribute view, renumbered from
+// 0; nil when none carry any) and its postings — the shared path of the
+// dynamic build sites (initial build, background delta shard,
+// compaction, snapshot tail).
+func buildIndexOver(store *vec.Store, attrs *vec.MetaStore, cfg Config) (*Index, error) {
 	cfg, err := resolveConfig(store, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newIndexFromStore(store, cfg)
+	ix, err := newIndexFromStore(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ix.adoptAttrs(attrs)
+	return ix, nil
 }
 
 // NewDynamicIndex builds a dynamic index over an initial dataset (which
@@ -162,7 +169,7 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 	d.ctxs.New = func() any { return new(dynCtx) }
 	d.cond = sync.NewCond(&d.mu)
 	if store.Len() > 0 {
-		ix, err := buildIndexOver(store.Slice(0, store.Len()), cfg)
+		ix, err := buildIndexOver(store.Slice(0, store.Len()), nil, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +326,7 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 	// (growth copies to a new block; in-place growth writes only beyond
 	// hi), and vectors themselves are never mutated.
 	delta := d.store.Slice(lo, hi)
-	go d.buildShard(d.gen, lo, hi, delta, d.cfg)
+	go d.buildShard(d.gen, lo, hi, delta, d.attrs.Range(lo, hi), d.cfg)
 }
 
 // compactBufferLocked physically drops tombstoned rows from the
@@ -360,8 +367,8 @@ func (d *DynamicIndex) compactBufferLocked() bool {
 // buildShard builds one shard over a frozen delta outside the lock and
 // swaps it in. A generation mismatch (an explicit Rebuild ran meanwhile)
 // discards the result.
-func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, cfg Config) {
-	ix, err := buildIndexOver(delta, cfg)
+func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, attrs *vec.MetaStore, cfg Config) {
+	ix, err := buildIndexOver(delta, attrs, cfg)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -514,7 +521,7 @@ func (d *DynamicIndex) Rebuild() error {
 		d.writes++
 		return nil
 	}
-	ix, err := buildIndexOver(store.Slice(0, n), d.cfg)
+	ix, err := buildIndexOver(store.Slice(0, n), attrs.Range(0, n), d.cfg)
 	if err != nil {
 		return err
 	}
@@ -656,7 +663,9 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 		case filtered:
 			// The accept predicate filters tombstones too, so the plain
 			// fetch of k matching live rows needs no over-fetch allowance.
-			ctx.shardBuf, stats = sh.ix.searchFilterOffsetIntoStats(q, k, lambdaShard, sh.off, d.acceptLocked(f, sh.off), ctx.shardBuf)
+			var plan filterPlan
+			ctx.shardBuf, stats, plan = sh.ix.searchFilterOffsetIntoStats(q, k, lambdaShard, sh.off, f, d.acceptLocked(f, sh.off), ctx.shardBuf)
+			plan.record(tr, sp)
 		case metered:
 			ctx.shardBuf, stats = sh.ix.searchOffsetIntoStats(q, fetchForShard(k, sh.dead, sh.ix.Len()), lambdaShard, sh.off, ctx.shardBuf)
 		default:
@@ -744,9 +753,9 @@ func (d *DynamicIndex) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, 
 }
 
 // SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. Shard candidate streams drain past non-matching
-// and tombstoned rows before any distance work; the buffer scan applies
-// the predicate per row.
+// appending into dst. Each shard is planned as described on Filter —
+// an exact posting-list gather or a CSA drain past non-matching and
+// tombstoned rows; the buffer scan applies the predicate per row.
 func (d *DynamicIndex) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
 	return d.searchCostInto(q, k, lambda, f, dst, nil, nil)
 }
@@ -831,7 +840,7 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 		shardDead = append(shardDead, sh.dead)
 	}
 	if d.indexed < n {
-		tail, err := buildIndexOver(d.store.Slice(d.indexed, n), d.cfg)
+		tail, err := buildIndexOver(d.store.Slice(d.indexed, n), d.attrs.Range(d.indexed, n), d.cfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -23,12 +23,22 @@ func StrAttr(s string) AttrValue { return vec.StrValue(s) }
 
 // Filter is a conjunction (AND) of predicates over vector attributes:
 // equality on int64 or string values, and inclusive numeric ranges. A
-// nil or empty filter matches every vector. Filters are pushed into the
-// candidate-verification loop: candidates failing the predicate are
-// discarded before any distance computation and do not consume the
-// verification budget, so the CSA stream keeps draining until enough
-// matching candidates are verified — with an exhaustive budget the
-// result is exactly the brute-force answer over matching live vectors.
+// nil or empty filter matches every vector.
+//
+// Each immutable index shard answers a filtered query by one of two
+// plans, chosen per shard by a count-based rule. Every shard keeps
+// in-memory postings: for each attribute key and equality value, the
+// sorted rows carrying it. Let P be the shortest posting list among the
+// filter's equality terms, n the shard's row count and λ+k−1 the
+// candidates the shard must verify. When |P|² ≤ (λ+k−1)·n the shard
+// computes exact distances for exactly the rows of P that are live and
+// match every term: the shard's answer is exact at any λ. Otherwise —
+// and always for range-only filters, which postings do not index — the
+// CSA candidate stream is drained in LCCS order, non-matching rows are
+// discarded before any distance work and do not consume the budget,
+// and the drain continues until λ+k−1 matching candidates are verified;
+// with an exhaustive budget that result is exact too. The unindexed
+// buffer of a DynamicIndex is always scanned exactly.
 type Filter = vec.Filter
 
 // FilterTerm is one predicate of a Filter.
@@ -85,7 +95,10 @@ func validateFilter(f *Filter) error {
 }
 
 // FilterSearcher is implemented by every facade: filtered top-k search.
-// A nil or empty filter degenerates to the plain search.
+// A nil or empty filter degenerates to the plain search. Each shard
+// plans the query as described on Filter: a selective equality term is
+// answered exactly from the shard's postings whatever λ is; otherwise λ
+// bounds the matching candidates the CSA drain verifies.
 type FilterSearcher interface {
 	// SearchFilter returns the k nearest neighbors among vectors
 	// matching f, under the facade's default candidate budget.
@@ -118,9 +131,24 @@ func NewIndexWithAttrs(data [][]float32, attrs []Attrs, cfg Config) (*Index, err
 		return nil, err
 	}
 	if len(attrs) > 0 {
-		ix.attrs = vec.MetaFromRows(append([]Attrs(nil), attrs...))
+		ix.adoptAttrs(vec.MetaFromRows(append([]Attrs(nil), attrs...)))
 	}
 	return ix, nil
+}
+
+// adoptAttrs installs the index's attribute rows (slot-aligned with its
+// store) and builds the equality postings the filter planner reads. It
+// runs once, before the index is shared with any reader.
+func (ix *Index) adoptAttrs(attrs *vec.MetaStore) {
+	ix.attrs = attrs
+	ix.post = vec.BuildPostings(attrs)
+}
+
+// acceptFunc builds the candidate predicate of a filtered query over
+// the index's own rows.
+func (ix *Index) acceptFunc(f *Filter) func(int) bool {
+	attrs := ix.attrs
+	return func(id int) bool { return f.Matches(attrs.Row(id)) }
 }
 
 // SearchFilter returns the k nearest neighbors among vectors matching f
@@ -142,14 +170,8 @@ func (ix *Index) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, d
 	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
 		return nil, err
 	}
-	attrs := ix.attrs
-	accept := func(id int) bool { return f.Matches(attrs.Row(id)) }
 	rb := ix.getRaw()
-	if ix.multi != nil {
-		rb.buf, _ = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf[:0])
-	} else {
-		rb.buf, _ = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf[:0])
-	}
+	rb.buf, _, _ = ix.searchFilterOffsetIntoStats(q, k, lambda, 0, f, ix.acceptFunc(f), rb.buf)
 	if dst == nil {
 		dst = make([]Neighbor, 0, len(rb.buf))
 	}

@@ -488,6 +488,51 @@ func (ix *Index) SearchFilterOffsetIntoStats(q []float32, k, lambda, offset int,
 	return res, stats
 }
 
+// SearchRowsOffsetIntoStats ranks an explicit row set instead of the
+// CSA stream: every row of rows (shard-local ids) that accept admits is
+// verified with an exact float32 distance, so the result is the exact
+// top-k over the admitted rows whatever the budget. It is the postings
+// path of a filtered search; the work is timed into the obs "filter"
+// stage like the drain it replaces. Comparisons stay 0 (no hash-string
+// search runs), Candidates counts the rows gathered, FilterRejected the
+// rows accept turned away.
+func (ix *Index) SearchRowsOffsetIntoStats(q []float32, k int, rows []int32, offset int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
+	dst = dst[:0]
+	if k <= 0 {
+		return dst, SearchStats{}
+	}
+	ctx := ix.ctxs.Get().(*searchCtx)
+	ctx.best.Reset(k)
+	start := time.Now()
+	var stats SearchStats
+	for len(rows) > 0 {
+		b := 0
+		for b < verifyBatch && len(rows) > 0 {
+			id := rows[0]
+			rows = rows[1:]
+			if !accept(int(id)) {
+				stats.FilterRejected++
+				continue
+			}
+			ctx.ids[b] = id
+			b++
+		}
+		if b == 0 {
+			continue
+		}
+		ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
+		for i := 0; i < b; i++ {
+			ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
+		}
+		stats.Candidates += b
+	}
+	obs.ObserveDur(obs.StageFilter, time.Since(start))
+	stats.BytesScanned = int64(stats.Candidates) * int64(ix.store.Dim()) * 4
+	dst = ctx.best.AppendSorted(dst)
+	ix.ctxs.Put(ctx)
+	return shiftIDs(dst, offset), stats
+}
+
 // verifyFiltered is verifyCandidates with the accept predicate applied
 // to each drained candidate before it enters a gather batch. Rejected
 // ids cost one predicate call and nothing else.

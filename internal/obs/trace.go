@@ -102,6 +102,11 @@ type Span struct {
 	// Bytes is the vector-block memory traffic attributed to the span
 	// (scan and gather kernels); 0 for stages that touch no vectors.
 	Bytes int64
+	// Plan names the filter planner's choice on a filtered shard scan
+	// ("postings" or "csa"); empty elsewhere. Posting is the length of
+	// the shortest equality posting list it consulted, -1 for none.
+	Plan    string
+	Posting int64
 }
 
 // Trace accumulates spans for a single traced request. All methods
@@ -213,6 +218,17 @@ func (t *Trace) FinishSpanCost(idx int, rows, cands, bytes int64) time.Duration 
 	return d
 }
 
+// SetPlan stamps a filter plan onto the span at idx. No-op on a nil
+// trace.
+func (t *Trace) SetPlan(idx int, plan string, posting int64) {
+	if t == nil || idx < 0 {
+		return
+	}
+	t.mu.Lock()
+	t.spans[idx].Plan, t.spans[idx].Posting = plan, posting
+	t.mu.Unlock()
+}
+
 // AddSpan records an already-measured span (the caller timed the
 // phase itself, typically because untraced requests measure it too).
 func (t *Trace) AddSpan(stage Stage, parent int, start time.Time, dur time.Duration) {
@@ -258,6 +274,8 @@ type SpanNode struct {
 	Rows     int64      `json:"rows,omitempty"`
 	Cands    int64      `json:"candidates,omitempty"`
 	Bytes    int64      `json:"bytes,omitempty"`
+	Plan     string     `json:"plan,omitempty"`
+	Posting  *int64     `json:"posting_len,omitempty"`
 	Children []SpanNode `json:"children,omitempty"`
 }
 
@@ -288,10 +306,15 @@ func buildTree(spans []Span) []SpanNode {
 			Rows:    sp.Rows,
 			Cands:   sp.Cands,
 			Bytes:   sp.Bytes,
+			Plan:    sp.Plan,
 		}
 		if sp.Shard >= 0 {
 			sh := sp.Shard
 			nodes[i].Shard = &sh
+		}
+		if sp.Plan != "" && sp.Posting >= 0 {
+			p := sp.Posting
+			nodes[i].Posting = &p
 		}
 	}
 	// Attach children to parents in a reverse pass so each child is

@@ -226,6 +226,12 @@ type explainShardJSON struct {
 	Candidates  int64   `json:"candidates"`
 	Bytes       int64   `json:"bytes"`
 	DurUS       float64 `json:"dur_us"`
+	// Plan is how a shard answered: "postings" (an exact gather over
+	// the filter's shortest equality posting list) or "csa" (the LCCS
+	// candidate stream). PostingLen is that list's length, present when
+	// the filter planner consulted one.
+	Plan       string `json:"plan,omitempty"`
+	PostingLen *int64 `json:"posting_len,omitempty"`
 }
 
 // explainJSON is the resolved query plan returned for "explain": true.
@@ -297,9 +303,13 @@ func collectExplainScans(e *explainJSON, nodes []obs.SpanNode) {
 		switch n.Stage {
 		case obs.StageShardScan.String():
 			sh := explainShardJSON{Shard: -1, Comparisons: n.Rows,
-				Candidates: n.Cands, Bytes: n.Bytes, DurUS: n.DurUS}
+				Candidates: n.Cands, Bytes: n.Bytes, DurUS: n.DurUS,
+				Plan: n.Plan, PostingLen: n.Posting}
 			if n.Shard != nil {
 				sh.Shard = *n.Shard
+			}
+			if sh.Plan == "" {
+				sh.Plan = "csa" // unfiltered scans never consult the planner
 			}
 			e.Shards = append(e.Shards, sh)
 		case obs.StageBufferScan.String():

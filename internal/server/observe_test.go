@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -239,6 +240,9 @@ func TestExplainSearch(t *testing.T) {
 		if sh.Comparisons <= 0 || sh.Candidates <= 0 || sh.Bytes <= 0 {
 			t.Fatalf("shard %d counters empty: %+v", sh.Shard, sh)
 		}
+		if sh.Plan != "csa" || sh.PostingLen != nil {
+			t.Fatalf("unfiltered shard %d plan = %q (posting %v), want csa", sh.Shard, sh.Plan, sh.PostingLen)
+		}
 		sumComp += sh.Comparisons
 		sumCand += sh.Candidates
 		sumBytes += sh.Bytes
@@ -321,6 +325,89 @@ func TestExplainFilteredBuffer(t *testing.T) {
 	}
 	if e.Cost == nil || e.Cost.FilterRejected != int64(len(data)/2) {
 		t.Fatalf("cost = %+v, want %d filter-rejected", e.Cost, len(data)/2)
+	}
+}
+
+// filterStageCount reads the lccs_stage_seconds sample count of the
+// filter stage from /metrics.
+func filterStageCount(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), `lccs_stage_seconds_count{stage="filter"} `); ok {
+			n, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestExplainFilterPlans checks that EXPLAIN reports the filter
+// planner's per-shard choice: a 1% tenant filter is answered from the
+// postings on every shard (no CSA comparisons, timed under the filter
+// stage), a 50% filter at a tiny budget and a range-only filter drain
+// the CSA, and the posting length appears exactly when an equality
+// posting list was consulted.
+func TestExplainFilterPlans(t *testing.T) {
+	data, queries := testWorkload(25, 400, 8)
+	attrs := make([]lccs.Attrs, len(data))
+	for i := range attrs {
+		attrs[i] = lccs.Attrs{"tenant": lccs.IntAttr(int64(i % 100)), "half": lccs.IntAttr(int64(i % 2)), "pos": lccs.IntAttr(int64(i))}
+	}
+	sx, err := lccs.NewShardedIndexWithAttrs(data, attrs, lccs.Config{Metric: lccs.Euclidean, M: 16, Seed: 9}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Backend: sx})
+	explain := func(budget int, terms ...filterTermJSON) *explainJSON {
+		t.Helper()
+		var got searchResponse
+		req := searchRequest{Query: queries[1], K: 5, Budget: budget, Filter: terms, Explain: true}
+		if code := postJSON(t, ts, "/v1/search", req, &got); code != http.StatusOK || got.Explain == nil {
+			t.Fatalf("explain %+v: HTTP %d", terms, code)
+		}
+		if len(got.Explain.Shards) != sx.Shards() {
+			t.Fatalf("plan covers %d shards, want %d", len(got.Explain.Shards), sx.Shards())
+		}
+		return got.Explain
+	}
+
+	before := filterStageCount(t, ts.URL)
+	e := explain(2, filterTermJSON{Key: "tenant", Value: float64(3)})
+	for _, sh := range e.Shards {
+		if sh.Plan != "postings" || sh.PostingLen == nil || *sh.PostingLen != 2 || sh.Comparisons != 0 || sh.Candidates != 2 {
+			t.Fatalf("1%% filter, shard %+v: want the postings plan over its 2 tenant rows", sh)
+		}
+	}
+	if e.Cost == nil || e.Cost.Comparisons != 0 || e.Cost.Candidates != 4 || e.Cost.FilterRejected != 0 {
+		t.Fatalf("postings cost = %+v", e.Cost)
+	}
+	if after := filterStageCount(t, ts.URL); after < before+int64(sx.Shards()) {
+		t.Fatalf("filter stage count %d → %d: the postings scans were not timed", before, after)
+	}
+
+	// 100 matching rows per 200-row shard: p² = 10⁴ > (λ+k−1)·n = 5·200.
+	e = explain(2, filterTermJSON{Key: "half", Value: float64(0)})
+	for _, sh := range e.Shards {
+		if sh.Plan != "csa" || sh.PostingLen == nil || *sh.PostingLen != 100 || sh.Comparisons <= 0 {
+			t.Fatalf("50%% filter at λ=2, shard %+v: want the CSA plan with posting length 100", sh)
+		}
+	}
+
+	lo, hi := int64(10), int64(300)
+	e = explain(0, filterTermJSON{Key: "pos", Op: "range", Min: &lo, Max: &hi})
+	for _, sh := range e.Shards {
+		if sh.Plan != "csa" || sh.PostingLen != nil {
+			t.Fatalf("range-only filter, shard %+v: want the CSA plan and no posting length", sh)
+		}
 	}
 }
 

@@ -133,6 +133,22 @@ func (ms *MetaStore) Slice(n int) *MetaStore {
 	return &MetaStore{rows: ms.rows[:n:n]}
 }
 
+// Range returns a read-only view of rows [lo, hi) renumbered from 0 —
+// the attribute rows of one index shard. Rows past Len() read as nil;
+// the view is capped, so later appends to ms never show through it.
+func (ms *MetaStore) Range(lo, hi int) *MetaStore {
+	if ms == nil {
+		return nil
+	}
+	if hi > len(ms.rows) {
+		hi = len(ms.rows)
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return &MetaStore{rows: ms.rows[lo:hi:hi]}
+}
+
 // CompactCopy mirrors vec.Store.CompactCopy over attribute rows: rows
 // [0, keepPrefix) verbatim, then every row in [keepPrefix, n) for which
 // dead reports false. n may exceed Len(); missing rows compact as nil.

@@ -451,7 +451,7 @@ func decodeSingleWithAttrs(r io.Reader, store *vec.Store, flags byte) (*Index, e
 	if err != nil {
 		return nil, err
 	}
-	ix.attrs = attrs
+	ix.adoptAttrs(attrs)
 	return ix, nil
 }
 
@@ -876,7 +876,7 @@ func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		sx.attrs = attrs
+		sx.adoptAttrs(attrs)
 		return sx, nil
 	}
 	return decodeSharded(r, store, magic == pkgMagic3, false)

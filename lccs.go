@@ -318,8 +318,14 @@ type Index struct {
 	// filled in), persisted by Save.
 	cfg Config
 	// attrs holds the optional per-vector metadata, slot-aligned with
-	// the vector store; nil when no vector carries attributes.
+	// the vector store (a shard's is the range view of its own rows);
+	// nil when no vector carries attributes.
 	attrs *vec.MetaStore
+	// post is the equality postings index over attrs that the filter
+	// planner reads; nil when none was built, which keeps every filtered
+	// scan on the CSA drain. Both are set once by adoptAttrs, before the
+	// index is published, and never mutated afterwards.
+	post *vec.Postings
 	// raw pools the core-typed result buffers behind the Into variants,
 	// so converting to the public Neighbor type allocates nothing at
 	// steady state.
@@ -559,13 +565,9 @@ func (ix *Index) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Nei
 	var stats core.SearchStats
 	switch {
 	case !f.Empty():
-		attrs := ix.attrs
-		accept := func(id int) bool { return f.Matches(attrs.Row(id)) }
-		if ix.multi != nil {
-			rb.buf, stats = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf)
-		} else {
-			rb.buf, stats = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, 0, accept, rb.buf)
-		}
+		var plan filterPlan
+		rb.buf, stats, plan = ix.searchFilterOffsetIntoStats(q, k, lambda, 0, f, ix.acceptFunc(f), rb.buf)
+		plan.record(tr, sp)
 	case ix.multi != nil:
 		rb.buf, stats = ix.multi.SearchOffsetIntoStats(q, k, lambda, 0, rb.buf)
 	default:

@@ -309,34 +309,34 @@ func (sx *ShardedIndex) searchShards(q []float32, k, lambda int, parallel bool, 
 	wg.Wait()
 }
 
-// scanOne prepares shard i's predicate and stats slot and runs its scan.
+// scanOne prepares shard i's stats slot and runs its scan.
 func (sx *ShardedIndex) scanOne(i int, q []float32, k, lambdaShard int, f *Filter, lists [][]pqueue.Neighbor, stats []core.SearchStats, tr *Trace, parent int) {
-	var accept func(int) bool
-	if !f.Empty() {
-		accept = sx.acceptFunc(f, sx.offsets[i])
-	}
 	var st *core.SearchStats
 	if stats != nil {
 		st = &stats[i]
 	}
-	lists[i] = sx.scanShard(sx.shards[i], q, i, k, lambdaShard, accept, lists[i], st, tr, parent)
+	lists[i] = sx.scanShard(sx.shards[i], q, i, k, lambdaShard, f, lists[i], st, tr, parent)
 }
 
-// scanShard runs one shard's CSA scan, recording a per-shard span with
-// rows-compared, candidates-verified, and bytes-scanned counters when
-// traced, and the shard's stats into st when metered. The untraced
-// unmetered unfiltered call is the original stats-free route, so it
-// stays on the zero-allocation path. A filtered scan fetches k (its
-// predicate already rejects tombstones in-stream); an unfiltered one
-// over-fetches by the shard's tombstone count.
-func (sx *ShardedIndex) scanShard(shard *Index, q []float32, i, k, lambdaShard int, accept func(int) bool, dst []pqueue.Neighbor, st *core.SearchStats, tr *Trace, parent int) []pqueue.Neighbor {
-	if accept == nil && st == nil && tr == nil {
+// scanShard runs one shard's scan, recording a per-shard span with
+// rows-compared, candidates-verified, and bytes-scanned counters (and,
+// when filtered, the planner's choice) when traced, and the shard's
+// stats into st when metered. The untraced unmetered unfiltered call is
+// the original stats-free route, so it stays on the zero-allocation
+// path. A filtered scan fetches k (its predicate already rejects
+// tombstones); an unfiltered one over-fetches by the shard's tombstone
+// count.
+func (sx *ShardedIndex) scanShard(shard *Index, q []float32, i, k, lambdaShard int, f *Filter, dst []pqueue.Neighbor, st *core.SearchStats, tr *Trace, parent int) []pqueue.Neighbor {
+	filtered := !f.Empty()
+	if !filtered && st == nil && tr == nil {
 		return shard.searchOffsetInto(q, sx.shardFetch(i, k), lambdaShard, sx.offsets[i], dst)
 	}
 	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
 	var stats core.SearchStats
-	if accept != nil {
-		dst, stats = shard.searchFilterOffsetIntoStats(q, k, lambdaShard, sx.offsets[i], accept, dst)
+	if filtered {
+		var plan filterPlan
+		dst, stats, plan = shard.searchFilterOffsetIntoStats(q, k, lambdaShard, sx.offsets[i], f, sx.acceptFunc(f, sx.offsets[i]), dst)
+		plan.record(tr, sp)
 	} else {
 		dst, stats = shard.searchOffsetIntoStats(q, sx.shardFetch(i, k), lambdaShard, sx.offsets[i], dst)
 	}
@@ -389,13 +389,71 @@ func (ix *Index) searchOffsetIntoStats(q []float32, k, lambda, offset int, dst [
 	return ix.single.SearchOffsetIntoStats(q, k, lambda, offset, dst)
 }
 
-// searchFilterOffsetIntoStats is searchOffsetIntoStats restricted to
-// candidates the accept predicate admits (shard-local ids).
-func (ix *Index) searchFilterOffsetIntoStats(q []float32, k, lambda, offset int, accept func(int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats) {
-	if ix.multi != nil {
-		return ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+// filterPlan is the filter planner's choice for one shard scan, kept
+// for EXPLAIN.
+type filterPlan struct {
+	// postings is set when the shard ranked its posting list exactly
+	// instead of draining the CSA stream.
+	postings bool
+	// posting is the length of the shortest equality posting list the
+	// planner consulted, or -1 when it consulted none (no postings
+	// built, or no equality term in the filter).
+	posting int
+}
+
+// record stamps the plan onto a traced shard_scan span. Nil-safe.
+func (p filterPlan) record(tr *Trace, sp int) {
+	plan := "csa"
+	if p.postings {
+		plan = "postings"
 	}
-	return ix.single.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+	tr.SetPlan(sp, plan, int64(p.posting))
+}
+
+// usePostings is the planner's switch rule for one shard of n rows
+// asked to verify nCand = λ+k−1 matching candidates, where the filter's
+// shortest equality posting list has p rows. The CSA drain keeps
+// pulling rows in LCCS order until nCand of them match; with a fraction
+// p/n of rows eligible it pulls about nCand·n/p rows, each costing at
+// least one distance row's worth of work (a drained row costs more than
+// a gathered one, so this under-counts the drain). Gathering the
+// posting list exactly costs p distance rows. Postings therefore win
+// whenever p ≤ nCand·n/p, i.e. p² ≤ nCand·n. The rule is derived from
+// the two costs, not tuned, and needs no configuration.
+func usePostings(p, nCand, n int) bool {
+	return int64(p)*int64(p) <= int64(nCand)*int64(n)
+}
+
+// searchFilterOffsetIntoStats is the filter planner: the one per-shard
+// filtered scan every facade (one-shot, metered, traced, cursor) funnels
+// through. accept is the full predicate — liveness and every filter
+// term — over shard-local ids; f supplies the equality terms. When the
+// shard has postings and the filter's shortest equality posting list P
+// passes usePostings, exactly the rows of P that accept admits are
+// gathered with exact distances: the result is the exact top-k over
+// the matching live rows at any λ. Otherwise — no postings, range-only
+// filters, or a long P — the CSA stream drains past rejected rows until
+// λ+k−1 matching candidates are verified. A nil accept is the
+// unfiltered CSA scan.
+func (ix *Index) searchFilterOffsetIntoStats(q []float32, k, lambda, offset int, f *Filter, accept func(int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats, filterPlan) {
+	plan := filterPlan{posting: -1}
+	if accept != nil && ix.post != nil {
+		if rows, ok := ix.post.Shortest(f); ok {
+			plan.posting = len(rows)
+			if usePostings(len(rows), lambda+k-1, ix.Len()) {
+				plan.postings = true
+				dst, stats := ix.single.SearchRowsOffsetIntoStats(q, k, rows, offset, accept, dst)
+				return dst, stats, plan
+			}
+		}
+	}
+	var stats core.SearchStats
+	if ix.multi != nil {
+		dst, stats = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+	} else {
+		dst, stats = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+	}
+	return dst, stats, plan
 }
 
 // NewShardedIndexWithAttrs is NewShardedIndex with per-vector metadata:
@@ -410,9 +468,19 @@ func NewShardedIndexWithAttrs(data [][]float32, attrs []Attrs, cfg Config, shard
 		return nil, err
 	}
 	if len(attrs) > 0 {
-		sx.attrs = vec.MetaFromRows(append([]Attrs(nil), attrs...))
+		sx.adoptAttrs(vec.MetaFromRows(append([]Attrs(nil), attrs...)))
 	}
 	return sx, nil
+}
+
+// adoptAttrs installs per-slot metadata and hands every shard the range
+// view of its own rows, from which the shard builds its postings. It
+// runs once, before the index is shared with any reader.
+func (sx *ShardedIndex) adoptAttrs(attrs *vec.MetaStore) {
+	sx.attrs = attrs
+	for s, shard := range sx.shards {
+		shard.adoptAttrs(attrs.Range(sx.offsets[s], sx.offsets[s+1]))
+	}
 }
 
 // Attrs returns the metadata of the vector with the given external id,
@@ -448,8 +516,9 @@ func (sx *ShardedIndex) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor,
 }
 
 // SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. Each shard drains its candidate stream past
-// non-matching (or tombstoned) rows before any distance work, so the
+// appending into dst. Each shard either gathers its posting list
+// exactly or drains its candidate stream past non-matching (or
+// tombstoned) rows before any distance work (see Filter), so the
 // per-shard lists the tournament merges hold only live matching rows.
 func (sx *ShardedIndex) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
 	return sx.searchCostInto(q, k, lambda, false, f, dst, nil, nil)
@@ -479,6 +548,9 @@ func (sx *ShardedIndex) Shards() int { return len(sx.shards) }
 
 // Shard returns the s-th shard's Index and the global id of its first
 // vector. Exposed for benchmarking and inspection; treat it as read-only.
+// The shard carries its own rows' attributes, so its filtered searches
+// work standalone; tombstones of a dynamic snapshot are applied by the
+// ShardedIndex, not by the shard.
 func (sx *ShardedIndex) Shard(s int) (*Index, int) { return sx.shards[s], sx.offsets[s] }
 
 // M returns the hash-string length (identical across shards).

@@ -300,3 +300,34 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 		t.Fatal("missing file should fail")
 	}
 }
+
+// TestShardFilteredSearchStandalone is the regression test for Shard(s)
+// returning an Index whose filtered search matched no row (the
+// attributes used to live only on the ShardedIndex): each shard's
+// SearchFilter at λ ≥ n must equal brute force over that shard's own
+// matching rows, in shard-local ids.
+func TestShardFilteredSearchStandalone(t *testing.T) {
+	const n, dim, k = 240, 8, 10
+	data, attrs := filterTestData(n, dim)
+	sx, err := NewShardedIndexWithAttrs(data, attrs, Config{Metric: Euclidean, M: 16, Seed: 7}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < sx.Shards(); s++ {
+		shard, off := sx.Shard(s)
+		rows, rowAttrs := data[off:off+shard.Len()], attrs[off:off+shard.Len()]
+		for fname, f := range testFilters() {
+			want := bruteFilter(rows, rowAttrs, nil, data[5], k, f, shard.Distance)
+			got, err := shard.SearchFilterBudgetInto(data[5], k, n, f, nil)
+			if err != nil {
+				t.Fatalf("shard %d/%s: %v", s, fname, err)
+			}
+			if !neighborsEqual(got, want) {
+				t.Errorf("shard %d/%s: got %v, want %v", s, fname, got, want)
+			}
+			if f != nil && f.Terms[0].Key == "color" && f.Terms[0].Value.Str == "red" && len(got) == 0 {
+				t.Errorf("shard %d/%s: no match, the shard lost its attributes", s, fname)
+			}
+		}
+	}
+}
