@@ -29,7 +29,7 @@ func warmSearcher(tb testing.TB, ix Searcher, queries [][]float32, k, lambda int
 	var err error
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			dst, err = ix.SearchBudgetInto(q, k, lambda, dst)
+			dst, err = ix.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -39,8 +39,8 @@ func warmSearcher(tb testing.TB, ix Searcher, queries [][]float32, k, lambda int
 }
 
 // TestSearchZeroAllocIndex pins the tentpole property on the single
-// Index: a warmed steady-state SearchBudgetInto performs zero heap
-// allocations per query. GOMAXPROCS is held at 1 for the measurement so
+// Index: a warmed steady-state SearchCostInto with a reused dst and nil
+// cost and trace performs zero heap allocations per query. GOMAXPROCS is held at 1 for the measurement so
 // a mid-run GC cannot strip the sync.Pool and charge a pool refill to
 // the measured function.
 func TestSearchZeroAllocIndex(t *testing.T) {
@@ -59,19 +59,19 @@ func TestSearchZeroAllocIndex(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = ix.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = ix.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Index.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("Index.SearchCostInto: %v allocs/op, want 0", allocs)
 	}
 }
 
 // TestSearchZeroAllocSharded pins the same property across the shard
 // fan-out: sequential per-shard search, pooled per-shard lists, and the
-// reusable tournament merge together make ShardedIndex.SearchBudgetInto
+// reusable tournament merge together make ShardedIndex.SearchCostInto
 // allocation-free at steady state.
 func TestSearchZeroAllocSharded(t *testing.T) {
 	if raceEnabled {
@@ -89,13 +89,13 @@ func TestSearchZeroAllocSharded(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = sx.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = sx.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ShardedIndex.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("ShardedIndex.SearchCostInto: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -121,13 +121,13 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = ix.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = ix.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("quantized Index.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("quantized Index.SearchCostInto: %v allocs/op, want 0", allocs)
 	}
 
 	sx, err := NewShardedIndex(data, Config{Metric: Euclidean, M: 16, Seed: 3, Quantize: QuantizeSQ8}, 4)
@@ -139,13 +139,13 @@ func TestSearchZeroAllocSQ8(t *testing.T) {
 	allocs = testing.AllocsPerRun(200, func() {
 		q := queries[qi%len(queries)]
 		qi++
-		dst, err = sx.SearchBudgetInto(q, k, lambda, dst)
+		dst, err = sx.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("quantized ShardedIndex.SearchBudgetInto: %v allocs/op, want 0", allocs)
+		t.Fatalf("quantized ShardedIndex.SearchCostInto: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -307,21 +307,13 @@ func TestSearchZeroAllocPostings(t *testing.T) {
 	rangeOnly := &Filter{Terms: []FilterTerm{Range("pos", &lo, &hi)}}
 	for _, tc := range []struct {
 		name string
-		s    interface {
-			CostSearcher
-			FilterSearcher
-		}
+		s    CostSearcher
 	}{{"Index", ix}, {"ShardedIndex", sx}, {"DynamicIndex", dx}} {
 		measure := func(f *Filter, co *Cost) float64 {
 			var dst []Neighbor
 			run := func(q []float32) {
 				co.Reset()
-				if co != nil {
-					dst, err = tc.s.SearchCostInto(q, k, lambda, f, dst, co, nil)
-				} else {
-					dst, err = tc.s.SearchFilterBudgetInto(q, k, lambda, f, dst)
-				}
-				if err != nil {
+				if dst, err = tc.s.SearchCostInto(q, k, lambda, f, dst, co, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -349,7 +341,7 @@ func TestSearchZeroAllocPostings(t *testing.T) {
 			t.Fatalf("%s: postings path %v allocs/op, CSA path %v, want 0", tc.name, postings, csa)
 		}
 		if plain := measure(selective, nil); plain != 0 {
-			t.Fatalf("%s.SearchFilterBudgetInto: %v allocs/op on the postings path, want 0", tc.name, plain)
+			t.Fatalf("%s.SearchCostInto (unmetered): %v allocs/op on the postings path, want 0", tc.name, plain)
 		}
 	}
 }

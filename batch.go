@@ -5,36 +5,28 @@ import (
 	"sync"
 )
 
-// budgetSearcher is any index shape that answers a single budgeted query
-// into a caller buffer; Index, ShardedIndex, and DynamicIndex all satisfy
-// it, so they share one batch engine.
-type budgetSearcher interface {
-	SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error)
-}
-
 // searchBatch answers many queries concurrently across all CPUs; results
 // are returned in query order and each row is byte-identical to what a
-// sequential SearchBudget call would return. The first per-query
-// validation error fails the whole batch; k and λ are checked up front
-// so even an empty batch holds the shared validation contract.
+// sequential SearchBudget call would return. search answers one query
+// into a caller buffer — the facade's search body bound to k and λ. The
+// first per-query validation error fails the whole batch; k and λ are
+// checked up front so even an empty batch holds the shared validation
+// contract.
 //
 // Workers share the backend's pooled search contexts and reuse one
 // scratch row each, so the only per-query allocation left is the result
 // row handed back to the caller.
-func searchBatch(ix budgetSearcher, queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	if k <= 0 {
-		return nil, ErrInvalidK
-	}
-	if lambda <= 0 {
-		return nil, ErrInvalidBudget
+func searchBatch(queries [][]float32, k, lambda int, search func(q []float32, dst []Neighbor) ([]Neighbor, error)) ([][]Neighbor, error) {
+	if err := validateBudget(k, lambda); err != nil {
+		return nil, err
 	}
 	out := make([][]Neighbor, len(queries))
 	errs := make([]error, len(queries))
 	// run answers query i into a worker-owned scratch row and copies the
-	// result out, so the backend's Into path never allocates beyond the
-	// returned row.
+	// result out, so the search body never allocates beyond the returned
+	// row.
 	run := func(i int, scratch []Neighbor) []Neighbor {
-		res, err := ix.SearchBudgetInto(queries[i], k, lambda, scratch)
+		res, err := search(queries[i], scratch)
 		if err != nil {
 			errs[i] = err
 			return scratch
@@ -93,7 +85,9 @@ func (ix *Index) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
 
 // SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
 func (ix *Index) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	return searchBatch(ix, queries, k, lambda)
+	return searchBatch(queries, k, lambda, func(q []float32, dst []Neighbor) ([]Neighbor, error) {
+		return ix.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
+	})
 }
 
 // SearchBatch answers many queries concurrently with the index's default
@@ -106,27 +100,24 @@ func (sx *ShardedIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, e
 }
 
 // SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
+// The merge is deterministic, so either fan-out yields the rows
+// SearchBudget would.
 func (sx *ShardedIndex) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	if len(queries) >= runtime.GOMAXPROCS(0) {
-		return searchBatch(seqShardSearcher{sx}, queries, k, lambda)
-	}
-	return searchBatch(parShardSearcher{sx}, queries, k, lambda)
+	parallel := len(queries) < runtime.GOMAXPROCS(0)
+	return searchBatch(queries, k, lambda, func(q []float32, dst []Neighbor) ([]Neighbor, error) {
+		return sx.searchCostInto(q, k, lambda, parallel, nil, dst, nil, nil)
+	})
 }
 
-// seqShardSearcher runs a sharded query without the per-shard goroutine
-// fan-out, for use inside an already saturated batch worker pool. Results
-// are identical to ShardedIndex.SearchBudget — the merge is deterministic
-// either way.
-type seqShardSearcher struct{ sx *ShardedIndex }
-
-func (s seqShardSearcher) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return s.sx.searchBudgetInto(q, k, lambda, false, dst, nil)
+// SearchBatch answers many queries concurrently under the default
+// candidate budget; results are returned in query order.
+func (d *DynamicIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
+	return d.SearchBatchBudget(queries, k, d.defaultBudget())
 }
 
-// parShardSearcher keeps the per-shard fan-out inside each worker, for
-// small batches that leave cores idle.
-type parShardSearcher struct{ sx *ShardedIndex }
-
-func (s parShardSearcher) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return s.sx.searchBudgetInto(q, k, lambda, true, dst, nil)
+// SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
+func (d *DynamicIndex) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
+	return searchBatch(queries, k, lambda, func(q []float32, dst []Neighbor) ([]Neighbor, error) {
+		return d.SearchCostInto(q, k, lambda, nil, dst, nil, nil)
+	})
 }

@@ -11,10 +11,10 @@ import (
 // The filter experiment measures metadata-filtered search on a
 // DynamicIndex at three predicate selectivities (1%, 10%, 50% of rows
 // matching), plus a cursor-paginated drain. Each selectivity reports
-// QPS and tail latency of SearchFilter under the default candidate
-// budget λ, recall@k against an exact filtered brute-force scan at
-// that λ, and — as an exactness check of the filtered verification
-// path — recall at λ = n, which must be 1.0.
+// QPS and tail latency of a filtered SearchCostInto under the default
+// candidate budget λ, recall@k against an exact filtered brute-force
+// scan at that λ, and — as an exactness check of the filtered
+// verification path — recall at λ = n, which must be 1.0.
 
 // filterCase is one selectivity point: the wire filter, the matching
 // predicate the exact ground truth is restricted to, and the nominal
@@ -160,20 +160,20 @@ func filterRuns(n, nq, k, m int, seed uint64, kind lccs.MetricKind) (map[string]
 	for _, fc := range filterBenchCases() {
 		truth := bruteForceFilteredIDs(data, queries, k, kind, fc.match)
 		r := measureLoop(queries, rounds, func(q []float32) {
-			if _, err := dyn.SearchFilter(q, k, fc.filter); err != nil {
+			if _, err := dyn.SearchCostInto(q, k, 0, fc.filter, nil, nil, nil); err != nil {
 				panic(err)
 			}
 		})
 		r.BuildSeconds = build
 		recall := filteredRecall(queries, truth, func(q []float32) []lccs.Neighbor {
-			res, err := dyn.SearchFilter(q, k, fc.filter)
+			res, err := dyn.SearchCostInto(q, k, 0, fc.filter, nil, nil, nil)
 			if err != nil {
 				panic(err)
 			}
 			return res
 		})
 		exact := filteredRecall(queries, truth, func(q []float32) []lccs.Neighbor {
-			res, err := dyn.SearchFilterBudgetInto(q, k, n, fc.filter, nil)
+			res, err := dyn.SearchCostInto(q, k, n, fc.filter, nil, nil, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -59,23 +59,6 @@ var ErrCursorInvalid = errors.New("lccs: invalid cursor token")
 // token was minted. It wraps ErrCursorInvalid.
 var ErrCursorStale = fmt.Errorf("%w: invalidated by writes", ErrCursorInvalid)
 
-// CursorSearcher is implemented by every facade: resumable ranked
-// search. limit is the page size; lambda the candidate budget (≤ 0
-// selects the default, ignored on resume — the token carries the
-// original); f may be nil. An empty cursor starts a new scan. The
-// returned next token is empty once the result stream is exhausted.
-type CursorSearcher interface {
-	SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) (page []Neighbor, next string, err error)
-}
-
-// Compile-time conformance of the facades (DurableIndex inherits from
-// DynamicIndex).
-var (
-	_ CursorSearcher = (*Index)(nil)
-	_ CursorSearcher = (*ShardedIndex)(nil)
-	_ CursorSearcher = (*DynamicIndex)(nil)
-)
-
 // cursorToken is the decoded continuation state.
 type cursorToken struct {
 	gen    uint64 // backend write generation at mint time
@@ -239,7 +222,7 @@ func mergeCursorPage(lists [][]pqueue.Neighbor, requested []int, t *cursorToken,
 }
 
 // SearchCursor pages through the ranked results of a (optionally
-// filtered) scan of a static Index. See CursorSearcher.
+// filtered) scan of a static Index. See Searcher.
 func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
 	if lambda <= 0 {
 		lambda = ix.budget
@@ -260,13 +243,9 @@ func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor 
 		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
 	}
 	need := t.offs[0] + limit
-	var accept func(int) bool
-	if !f.Empty() {
-		accept = ix.acceptFunc(f)
-	}
 	rb := ix.getRaw()
 	kFetch, lamEff := cursorFetch(need, lambda)
-	rb.buf, _, _ = ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, 0, f, accept, rb.buf)
+	rb.buf, _, _ = ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, 0, f, ix.acceptFunc(f), rb.buf)
 	page := make([]Neighbor, 0, limit)
 	exhausted := mergeCursorPage([][]pqueue.Neighbor{rb.buf}, []int{need}, &t, limit, func(nb pqueue.Neighbor) {
 		page = append(page, Neighbor{ID: nb.ID, Dist: nb.Dist})
@@ -280,7 +259,7 @@ func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor 
 }
 
 // SearchCursor pages through the ranked, merged results of a sharded
-// scan. See CursorSearcher.
+// scan. See Searcher.
 func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
 	if lambda <= 0 {
 		lambda = sx.budget
@@ -324,7 +303,7 @@ func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, 
 
 // SearchCursor pages through the ranked results of a dynamic scan:
 // sources are the immutable shards plus the delta buffer. Tokens are
-// invalidated by any write. See CursorSearcher.
+// invalidated by any write. See Searcher.
 func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
 	if lambda <= 0 {
 		lambda = d.defaultBudget()

@@ -7,7 +7,7 @@ import (
 
 // drainCursor pages through SearchCursor until the token runs out,
 // concatenating every page.
-func drainCursor(t *testing.T, cs CursorSearcher, q []float32, limit, lambda int, f *Filter) []Neighbor {
+func drainCursor(t *testing.T, cs Searcher, q []float32, limit, lambda int, f *Filter) []Neighbor {
 	t.Helper()
 	var all []Neighbor
 	cursor := ""
@@ -64,24 +64,23 @@ func TestCursorDrainEqualsOneShot(t *testing.T) {
 	}
 
 	type facadeCase struct {
-		cs     CursorSearcher
-		fs     FilterSearcher
+		s      Searcher
 		nTotal int
 	}
 	facades := map[string]facadeCase{
-		"index":   {single, single, n},
-		"sharded": {sharded, sharded, n},
-		"dynamic": {dyn, dyn, n + 5},
+		"index":   {single, n},
+		"sharded": {sharded, n},
+		"dynamic": {dyn, n + 5},
 	}
 	q := data[3]
 	for fname, f := range testFilters() {
 		for facade, fc := range facades {
-			want, err := fc.fs.SearchFilterBudgetInto(q, fc.nTotal, fc.nTotal+5, f, nil)
+			want, err := fc.s.SearchCostInto(q, fc.nTotal, fc.nTotal+5, f, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%s one-shot: %v", facade, fname, err)
 			}
 			for _, limit := range []int{1, 3, 7, 200} {
-				got := drainCursor(t, fc.cs, q, limit, fc.nTotal+5, f)
+				got := drainCursor(t, fc.s, q, limit, fc.nTotal+5, f)
 				if !neighborsEqual(got, want) {
 					t.Errorf("%s/%s limit=%d: drain %v, one-shot %v", facade, fname, limit, got, want)
 				}

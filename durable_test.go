@@ -688,9 +688,9 @@ func TestDurableAttrsRoundTrip(t *testing.T) {
 		if got := di.Attrs(extraID); !got.Equal(Attrs{"color": StrAttr("red")}) {
 			t.Fatalf("%s: Attrs(extra) = %v", label, got)
 		}
-		res, err := di.SearchFilterBudgetInto([]float32{0, 0, 1}, len(vecs)+1, 1<<20, &Filter{Terms: []FilterTerm{EqStr("color", "red")}}, nil)
+		res, err := di.SearchCostInto([]float32{0, 0, 1}, len(vecs)+1, 1<<20, &Filter{Terms: []FilterTerm{EqStr("color", "red")}}, nil, nil, nil)
 		if err != nil {
-			t.Fatalf("%s: SearchFilterBudgetInto: %v", label, err)
+			t.Fatalf("%s: SearchCostInto: %v", label, err)
 		}
 		for _, nb := range res {
 			if got := di.Attrs(nb.ID); got["color"] != StrAttr("red") {

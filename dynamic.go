@@ -269,8 +269,9 @@ func (d *DynamicIndex) Add(v []float32) (int, error) {
 }
 
 // AddWithAttrs is Add with optional metadata attached to the vector:
-// the attributes become filterable with SearchFilter and travel through
-// snapshots and (on a DurableIndex) the WAL. A nil attrs is exactly Add.
+// the attributes become filterable (SearchCostInto, SearchCursor) and
+// travel through snapshots and (on a DurableIndex) the WAL. A nil attrs
+// is exactly Add.
 func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -572,17 +573,17 @@ func (d *DynamicIndex) Search(q []float32, k int) ([]Neighbor, error) {
 	return d.SearchBudget(q, k, d.defaultBudget())
 }
 
-// SearchInto is Search appending into dst (reset to dst[:0] first).
-func (d *DynamicIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	return d.SearchBudgetInto(q, k, d.defaultBudget(), dst)
-}
-
 // defaultBudget returns the facade's default candidate budget: the
 // resolved configuration's, or the package default before the first
 // build resolves one.
 func (d *DynamicIndex) defaultBudget() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.budgetLocked()
+}
+
+// budgetLocked is defaultBudget for callers holding d.mu.
+func (d *DynamicIndex) budgetLocked() int {
 	if d.cfg.Budget > 0 {
 		return d.cfg.Budget
 	}
@@ -594,49 +595,31 @@ func (d *DynamicIndex) defaultBudget() int {
 // each), so a given budget means comparable verification work on every
 // Searcher backend; the insert buffer is always scanned exactly.
 func (d *DynamicIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
-	return d.SearchBudgetInto(q, k, lambda, nil)
+	if err := validateBudget(k, lambda); err != nil {
+		return nil, err
+	}
+	return d.SearchCostInto(q, k, lambda, nil, nil, nil, nil)
 }
 
-// SearchBudgetInto is SearchBudget appending into dst (reset to dst[:0]
-// first; dst may be nil). Shard fetches and the k-best row ride in
-// pooled scratch, so a steady-state query's only allocations are those
-// of the result row growth.
-func (d *DynamicIndex) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return d.searchCostInto(q, k, lambda, nil, dst, nil, nil)
-}
-
-// SearchBudgetIntoTraced is SearchBudgetInto recording spans into tr:
-// one shard_scan span per immutable shard (CSA comparison and verified-
-// candidate counters), a buffer_scan span over the unindexed delta
-// buffer, and a merge span, under a query root span. A nil tr is
-// exactly SearchBudgetInto; a non-positive lambda selects the default
-// budget.
-func (d *DynamicIndex) SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return d.SearchCostInto(q, k, lambda, nil, dst, nil, tr)
-}
-
-// SearchCostInto is the fully instrumented dynamic search: filter f
-// restricts results (nil or empty means unfiltered), co accumulates the
-// query's cost record (nil skips accounting), tr records spans (nil
-// skips tracing). Each argument degrades independently; all three nil
-// is exactly SearchBudgetInto. A non-positive lambda selects the
-// default budget.
+// SearchCostInto is the dynamic index's one search body (see
+// CostSearcher). Shard fetches and the k-best row ride in pooled
+// scratch. Each shard of a filtered query is planned as described on
+// Filter — an exact posting-list gather or a CSA drain past
+// non-matching and tombstoned rows; the buffer scan applies the
+// predicate per row. A traced query records one shard_scan span per
+// immutable shard (CSA comparison and verified-candidate counters), a
+// buffer_scan span over the unindexed delta buffer, and a merge span,
+// under a query root span.
 func (d *DynamicIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	if lambda <= 0 {
-		lambda = d.defaultBudget()
+	if err := validateFilter(f); err != nil {
+		return nil, err
 	}
-	return d.searchCostInto(q, k, lambda, f, dst, co, tr)
-}
-
-func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	filtered := f != nil && !f.Empty()
-	if filtered {
-		if err := validateFilter(f); err != nil {
-			return nil, err
-		}
-	}
+	filtered := !f.Empty()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if lambda <= 0 {
+		lambda = d.budgetLocked()
+	}
 	if err := validateQuery(q, d.store.Dim(), k, lambda); err != nil {
 		return nil, err
 	}
@@ -646,47 +629,29 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
 	ctx := d.ctxs.Get().(*dynCtx)
 	ctx.best.Reset(k)
-	// searchOffsetInto shifts shard-local slots into the global slot
-	// space. Shard ranges are disjoint, so no dedup is needed.
+	// The scans shift shard-local slots into the global slot space.
+	// Shard ranges are disjoint, so no dedup is needed.
 	lambdaShard := lambda
 	if s := len(d.shards); s > 1 {
 		lambdaShard = (lambda + s - 1) / s
 	}
-	metered := co != nil || tr != nil
 	for i, sh := range d.shards {
-		sp := -1
-		if tr != nil {
-			sp = tr.StartShardSpan(obs.StageShardScan, root, i)
+		// Unfiltered, a shard over-fetches exactly its own tombstone
+		// count — never more than it holds — so k live results survive
+		// the liveness check below without the fetch growing with global
+		// churn. The filter predicate rejects tombstones too, so the
+		// filtered fetch of k matching live rows needs no allowance.
+		var accept func(int) bool
+		fetch := fetchForShard(k, sh.dead, sh.ix.Len())
+		if filtered {
+			accept, fetch = d.acceptLocked(f, sh.off), k
 		}
 		var stats core.SearchStats
-		switch {
-		case filtered:
-			// The accept predicate filters tombstones too, so the plain
-			// fetch of k matching live rows needs no over-fetch allowance.
-			var plan filterPlan
-			ctx.shardBuf, stats, plan = sh.ix.searchFilterOffsetIntoStats(q, k, lambdaShard, sh.off, f, d.acceptLocked(f, sh.off), ctx.shardBuf)
-			plan.record(tr, sp)
-		case metered:
-			ctx.shardBuf, stats = sh.ix.searchOffsetIntoStats(q, fetchForShard(k, sh.dead, sh.ix.Len()), lambdaShard, sh.off, ctx.shardBuf)
-		default:
-			// Over-fetch exactly the shard's own tombstone count — never
-			// more than the shard holds — so k live results survive
-			// filtering without the fetch growing with global churn.
-			ctx.shardBuf = sh.ix.searchOffsetInto(q, fetchForShard(k, sh.dead, sh.ix.Len()), lambdaShard, sh.off, ctx.shardBuf)
-		}
-		if tr != nil {
-			obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
-		}
+		ctx.shardBuf, stats = sh.ix.scan(q, fetch, lambdaShard, sh.off, f, accept, ctx.shardBuf, tr, root, i)
 		co.addStats(stats)
-		if filtered {
-			for _, nb := range ctx.shardBuf {
+		for _, nb := range ctx.shardBuf {
+			if !d.deleted[nb.ID] {
 				ctx.best.Add(nb.ID, nb.Dist)
-			}
-		} else {
-			for _, nb := range ctx.shardBuf {
-				if !d.deleted[nb.ID] {
-					ctx.best.Add(nb.ID, nb.Dist)
-				}
 			}
 		}
 	}
@@ -694,24 +659,16 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	bufSpan := tr.StartSpan(obs.StageBufferScan, root)
 	bufRows := d.store.Len() - d.indexed
 	rejected := 0
-	if filtered {
-		d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-			if d.deleted[slot] {
-				return
-			}
-			if !f.Matches(d.attrs.Row(slot)) {
-				rejected++
-				return
-			}
-			ctx.best.Add(slot, dist)
-		})
-	} else {
-		d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-			if !d.deleted[slot] {
-				ctx.best.Add(slot, dist)
-			}
-		})
-	}
+	d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
+		if d.deleted[slot] {
+			return
+		}
+		if filtered && !f.Matches(d.attrs.Row(slot)) {
+			rejected++
+			return
+		}
+		ctx.best.Add(slot, dist)
+	})
 	// The buffer scan reads every row's full float32 payload exactly
 	// once; rows the predicate rejected still paid for their distance
 	// (Comparisons) but do not count as candidates, matching the core
@@ -720,14 +677,12 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	if tr != nil {
 		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(bufSpan, int64(bufRows), int64(bufRows-rejected), bufBytes))
 	}
-	if co != nil {
-		co.addStats(core.SearchStats{
-			Comparisons:    bufRows,
-			Candidates:     bufRows - rejected,
-			BytesScanned:   bufBytes,
-			FilterRejected: rejected,
-		})
-	}
+	co.addStats(core.SearchStats{
+		Comparisons:    bufRows,
+		Candidates:     bufRows - rejected,
+		BytesScanned:   bufBytes,
+		FilterRejected: rejected,
+	})
 	mergeSpan := tr.StartSpan(obs.StageMerge, root)
 	ctx.sorted = ctx.best.AppendSorted(ctx.sorted[:0])
 	if dst == nil {
@@ -746,38 +701,13 @@ func (d *DynamicIndex) searchCostInto(q []float32, k, lambda int, f *Filter, dst
 	return dst, nil
 }
 
-// SearchFilter returns the k nearest live vectors matching f under the
-// default candidate budget.
-func (d *DynamicIndex) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error) {
-	return d.SearchFilterBudgetInto(q, k, d.defaultBudget(), f, nil)
-}
-
-// SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. Each shard is planned as described on Filter —
-// an exact posting-list gather or a CSA drain past non-matching and
-// tombstoned rows; the buffer scan applies the predicate per row.
-func (d *DynamicIndex) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
-	return d.searchCostInto(q, k, lambda, f, dst, nil, nil)
-}
-
 // acceptLocked builds the per-shard candidate predicate of a filtered
-// dynamic query: live and matching, in the global slot space.
+// or cursor dynamic query: live and matching, in the global slot space.
 func (d *DynamicIndex) acceptLocked(f *Filter, off int) func(int) bool {
 	return func(local int) bool {
 		glob := local + off
 		return !d.deleted[glob] && f.Matches(d.attrs.Row(glob))
 	}
-}
-
-// SearchBatch answers many queries concurrently under the default
-// candidate budget; results are returned in query order.
-func (d *DynamicIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return d.SearchBatchBudget(queries, k, d.defaultBudget())
-}
-
-// SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
-func (d *DynamicIndex) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neighbor, error) {
-	return searchBatch(d, queries, k, lambda)
 }
 
 // Distance returns the configured metric's distance between two vectors.

@@ -94,28 +94,6 @@ func validateFilter(f *Filter) error {
 	return nil
 }
 
-// FilterSearcher is implemented by every facade: filtered top-k search.
-// A nil or empty filter degenerates to the plain search. Each shard
-// plans the query as described on Filter: a selective equality term is
-// answered exactly from the shard's postings whatever λ is; otherwise λ
-// bounds the matching candidates the CSA drain verifies.
-type FilterSearcher interface {
-	// SearchFilter returns the k nearest neighbors among vectors
-	// matching f, under the facade's default candidate budget.
-	SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error)
-	// SearchFilterBudgetInto is SearchFilter with an explicit candidate
-	// budget λ, appending into dst (reset to dst[:0] first).
-	SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error)
-}
-
-// Compile-time conformance of the facades (DurableIndex inherits from
-// DynamicIndex).
-var (
-	_ FilterSearcher = (*Index)(nil)
-	_ FilterSearcher = (*ShardedIndex)(nil)
-	_ FilterSearcher = (*DynamicIndex)(nil)
-)
-
 // Attrs returns the metadata of the vector with the given id, or nil.
 func (ix *Index) Attrs(id int) Attrs { return ix.attrs.Row(id) }
 
@@ -145,37 +123,11 @@ func (ix *Index) adoptAttrs(attrs *vec.MetaStore) {
 }
 
 // acceptFunc builds the candidate predicate of a filtered query over
-// the index's own rows.
+// the index's own rows; nil when f is empty.
 func (ix *Index) acceptFunc(f *Filter) func(int) bool {
+	if f.Empty() {
+		return nil
+	}
 	attrs := ix.attrs
 	return func(id int) bool { return f.Matches(attrs.Row(id)) }
-}
-
-// SearchFilter returns the k nearest neighbors among vectors matching f
-// under the default candidate budget.
-func (ix *Index) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error) {
-	return ix.SearchFilterBudgetInto(q, k, ix.budget, f, nil)
-}
-
-// SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. A vector with no metadata matches only the empty
-// filter.
-func (ix *Index) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
-	if f.Empty() {
-		return ix.SearchBudgetInto(q, k, lambda, dst)
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, err
-	}
-	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
-		return nil, err
-	}
-	rb := ix.getRaw()
-	rb.buf, _, _ = ix.searchFilterOffsetIntoStats(q, k, lambda, 0, f, ix.acceptFunc(f), rb.buf)
-	if dst == nil {
-		dst = make([]Neighbor, 0, len(rb.buf))
-	}
-	dst = appendNeighbors(dst[:0], rb.buf)
-	ix.raw.Put(rb)
-	return dst, nil
 }

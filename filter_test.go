@@ -114,7 +114,7 @@ func TestFilteredSearchExactAcrossFacades(t *testing.T) {
 	}
 	dyn.WaitRebuild()
 
-	facades := map[string]FilterSearcher{
+	facades := map[string]Searcher{
 		"index":   single,
 		"sharded": sharded,
 		"dynamic": dyn,
@@ -123,7 +123,7 @@ func TestFilteredSearchExactAcrossFacades(t *testing.T) {
 	for fname, f := range testFilters() {
 		want := bruteFilter(data, attrs, nil, q, k, f, single.Distance)
 		for facade, ix := range facades {
-			got, err := ix.SearchFilterBudgetInto(q, k, n, f, nil)
+			got, err := ix.SearchCostInto(q, k, n, f, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", facade, fname, err)
 			}
@@ -161,7 +161,7 @@ func TestFilteredSearchWithDeletes(t *testing.T) {
 	q := data[8]
 	for fname, f := range testFilters() {
 		want := bruteFilter(data, attrs, live, q, k, f, dyn.Distance)
-		got, err := dyn.SearchFilterBudgetInto(q, k, n, f, nil)
+		got, err := dyn.SearchCostInto(q, k, n, f, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", fname, err)
 		}
@@ -177,7 +177,7 @@ func TestFilteredSearchWithDeletes(t *testing.T) {
 	}
 	for fname, f := range testFilters() {
 		want := bruteFilter(data, attrs, live, q, k, f, dyn.Distance)
-		got, err := sx.SearchFilterBudgetInto(q, k, n, f, nil)
+		got, err := sx.SearchCostInto(q, k, n, f, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("snapshot/%s: %v", fname, err)
 		}
@@ -200,7 +200,7 @@ func TestFilterValidation(t *testing.T) {
 		{Terms: []FilterTerm{{Key: "x", Op: FilterOp(99)}}},
 	}
 	for i, f := range bad {
-		if _, err := ix.SearchFilter(data[0], 3, f); !errors.Is(err, ErrInvalidFilter) {
+		if _, err := ix.SearchCostInto(data[0], 3, 0, f, nil, nil, nil); !errors.Is(err, ErrInvalidFilter) {
 			t.Errorf("bad filter %d: err = %v, want ErrInvalidFilter", i, err)
 		}
 	}

@@ -16,7 +16,7 @@
 // float32 block) and every per-query scratch object — the CSA searcher,
 // the hash-string buffer, the k-best collector, the multi-probe
 // perturbation state — lives in one pooled searchCtx, so a steady-state
-// SearchInto performs no heap allocations.
+// query performs no heap allocations.
 package core
 
 import (
@@ -267,38 +267,47 @@ func (ix *Index) HashQuery(q []float32) []int32 {
 // the k nearest in ascending distance order. lambda is the candidate
 // budget λ; larger values trade time for recall.
 func (ix *Index) Search(q []float32, k, lambda int) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, nil)
-	return res
-}
-
-// SearchInto is Search appending into dst (reset to dst[:0] first): the
-// zero-allocation path for callers that reuse a result buffer.
-func (ix *Index) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, dst[:0])
+	res, _ := ix.searchInto(q, k, lambda, nil, nil)
 	return res
 }
 
 // SearchWithStats is Search plus work counters.
 func (ix *Index) SearchWithStats(q []float32, k, lambda int) ([]pqueue.Neighbor, SearchStats) {
-	return ix.searchInto(q, k, lambda, nil)
+	return ix.searchInto(q, k, lambda, nil, nil)
 }
 
 // searchInto runs the single-probe query with pooled scratch, appending
-// the k nearest to dst (which may be nil).
-func (ix *Index) searchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
+// the k nearest to dst (which may be nil). A non-nil accept restricts
+// the query to the candidates it admits (see verifyCandidates).
+func (ix *Index) searchInto(q []float32, k, lambda int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
 	if k <= 0 || lambda <= 0 {
 		return dst, SearchStats{}
 	}
 	ctx := ix.ctxs.Get().(*searchCtx)
 	ctx.hq = lshfamily.HashString(ix.funcs, q, ctx.hq)
-
-	nCand := lambda + k - 1
 	ctx.s.Begin(ctx.hq)
+	return ix.finish(ctx, q, k, lambda, 1, accept, dst)
+}
+
+// finish is the verification phase shared by the single- and
+// multi-probe queries: ctx.s has begun its candidate stream (probes
+// probing sequences issued); the λ+k−1 candidates it yields are
+// verified, the k nearest appended to dst, and ctx returned to the
+// pool. A filtered verification (non-nil accept) is timed into the obs
+// "filter" stage histogram.
+func (ix *Index) finish(ctx *searchCtx, q []float32, k, lambda, probes int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
 	ctx.best.Reset(k)
 	ctx.bytes, ctx.rejected = 0, 0
-	verified, reranked := ix.verifyCandidates(ctx, q, k, nCand)
+	var start time.Time
+	if accept != nil {
+		start = time.Now()
+	}
+	verified, reranked := ix.verifyCandidates(ctx, q, k, lambda+k-1, accept)
+	if accept != nil {
+		obs.ObserveDur(obs.StageFilter, time.Since(start))
+	}
 	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: 1, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes}
+	stats := SearchStats{Candidates: verified, Probes: probes, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: ctx.rejected}
 	ix.ctxs.Put(ctx)
 	return dst, stats
 }
@@ -354,86 +363,87 @@ func defaultRerank(n int) int {
 	return r
 }
 
-// verifyCandidates drains up to nCand candidates from ctx.s, computes
+// nextBatch drains candidates from ctx.s into ctx.ids until it holds
+// want of them or the stream runs dry (drained). A non-nil accept is
+// applied to each drained candidate first: a rejected id costs one
+// predicate call, is counted in ctx.rejected, and takes no slot.
+func nextBatch(ctx *searchCtx, want int, accept func(id int) bool) (b int, drained bool) {
+	for b < want {
+		r, ok := ctx.s.Next()
+		if !ok {
+			return b, true
+		}
+		if accept != nil && !accept(r.ID) {
+			ctx.rejected++
+			continue
+		}
+		ctx.ids[b] = int32(r.ID)
+		b++
+	}
+	return b, false
+}
+
+// verifyCandidates verifies up to nCand candidates from ctx.s, computing
 // their distances in batches of verifyBatch through the gather kernels,
 // and feeds ctx.best (already Reset to k). It returns the number of
 // candidates verified and the number re-ranked exactly (quantized path
-// only). Candidates enter ctx.best in CSA stream order, exactly as the
-// old per-row loop did, so results are bit-identical to per-row
-// verification.
-func (ix *Index) verifyCandidates(ctx *searchCtx, q []float32, k, nCand int) (verified, reranked int) {
+// only). Candidates enter ctx.best in CSA stream order, so results are
+// bit-identical to per-row verification.
+//
+// With a non-nil accept, candidates the predicate rejects are discarded
+// before any distance work and do not count toward nCand, so the stream
+// keeps draining (in LCCS order) until nCand matching candidates are
+// verified or it is exhausted — the over-fetch ladder for selective
+// filters is built in. With an exhaustive budget (λ ≥ n) every matching
+// row is verified, making the result exactly the brute-force answer
+// over matching vectors.
+func (ix *Index) verifyCandidates(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, reranked int) {
 	if ix.sq8 != nil {
-		return ix.verifyQuantized(ctx, q, k, nCand)
+		return ix.verifyQuantized(ctx, q, k, nCand, accept)
 	}
 	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				break
+		b, drained := nextBatch(ctx, min(nCand-verified, verifyBatch), accept)
+		if b > 0 {
+			ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
+			ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
+			for i := 0; i < b; i++ {
+				ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
 			}
-			ctx.ids[b] = int32(r.ID)
-			b++
+			verified += b
 		}
-		if b == 0 {
+		if drained {
 			break
 		}
-		ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
-		ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
-		for i := 0; i < b; i++ {
-			ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-		}
-		verified += b
 	}
 	return verified, 0
 }
 
 // verifyQuantized is the SQ8 verification path: rank the candidate
-// stream by approximate quantized score, then re-rank the winners with
-// exact float32 distances into ctx.best. The re-rank phase is timed
-// into the obs "rerank" stage histogram.
-func (ix *Index) verifyQuantized(ctx *searchCtx, q []float32, k, nCand int) (verified, reranked int) {
-	rr := ix.rerank
-	if rr < k {
-		rr = k
-	}
+// stream (past the rejects of a non-nil accept) by approximate quantized
+// score, then re-rank the winners with exact float32 distances into
+// ctx.best. The re-rank phase is timed into the obs "rerank" stage
+// histogram.
+func (ix *Index) verifyQuantized(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, reranked int) {
 	ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
-	ctx.rr.Reset(rr)
+	ctx.rr.Reset(max(ix.rerank, k))
 	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				break
+		b, drained := nextBatch(ctx, min(nCand-verified, verifyBatch), accept)
+		if b > 0 {
+			ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
+			ctx.bytes += int64(b) * int64(ix.store.Dim())
+			for i := 0; i < b; i++ {
+				ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
 			}
-			ctx.ids[b] = int32(r.ID)
-			b++
+			verified += b
 		}
-		if b == 0 {
+		if drained {
 			break
 		}
-		ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
-		ctx.bytes += int64(b) * int64(ix.store.Dim())
-		for i := 0; i < b; i++ {
-			ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
-		}
-		verified += b
 	}
 	start := time.Now()
 	ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
 	for base := 0; base < len(ctx.rrBuf); base += verifyBatch {
-		c := len(ctx.rrBuf) - base
-		if c > verifyBatch {
-			c = verifyBatch
-		}
+		c := min(len(ctx.rrBuf)-base, verifyBatch)
 		for i := 0; i < c; i++ {
 			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
 		}
@@ -448,44 +458,16 @@ func (ix *Index) verifyQuantized(ctx *searchCtx, q []float32, k, nCand int) (ver
 	return verified, reranked
 }
 
-// searchFilterInto is searchInto with a per-candidate accept predicate:
-// candidates the predicate rejects are discarded before any distance
-// work and do not count toward the λ+k−1 verification budget, so the
-// CSA stream keeps draining (in LCCS order) until enough matching
-// candidates are verified or the stream is exhausted — the over-fetch
-// ladder for selective filters is built in. With an exhaustive budget
-// (λ ≥ n) this verifies every matching row, making the result exactly
-// the brute-force answer over matching vectors.
-func (ix *Index) searchFilterInto(q []float32, k, lambda int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if k <= 0 || lambda <= 0 {
-		return dst, SearchStats{}
-	}
-	ctx := ix.ctxs.Get().(*searchCtx)
-	ctx.hq = lshfamily.HashString(ix.funcs, q, ctx.hq)
-
-	nCand := lambda + k - 1
-	ctx.s.Begin(ctx.hq)
-	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	start := time.Now()
-	verified, reranked := ix.verifyFiltered(ctx, q, k, nCand, accept)
-	obs.ObserveDur(obs.StageFilter, time.Since(start))
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: 1, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: ctx.rejected}
-	ix.ctxs.Put(ctx)
-	return dst, stats
-}
-
-// SearchFilterOffsetIntoStats is SearchOffsetIntoStats restricted to
-// candidates the accept predicate admits. accept receives shard-local
-// ids (before the offset shift). A nil accept takes the unfiltered path.
+// SearchFilterOffsetIntoStats is the shard-local query: the index
+// covers a contiguous slice of a larger dataset starting at global id
+// offset, the k nearest are appended to dst (reset to dst[:0] first)
+// with every id shifted by offset so results from several shards merge
+// without remapping, and the query's work counters are returned. A
+// non-nil accept restricts the query to the candidates it admits; it
+// receives shard-local ids (before the offset shift).
 func (ix *Index) SearchFilterOffsetIntoStats(q []float32, k, lambda, offset int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if accept == nil {
-		return ix.SearchOffsetIntoStats(q, k, lambda, offset, dst)
-	}
-	res, stats := ix.searchFilterInto(q, k, lambda, accept, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
+	res, stats := ix.searchInto(q, k, lambda, accept, dst[:0])
+	return shiftIDs(res, offset), stats
 }
 
 // SearchRowsOffsetIntoStats ranks an explicit row set instead of the
@@ -533,141 +515,12 @@ func (ix *Index) SearchRowsOffsetIntoStats(q []float32, k int, rows []int32, off
 	return shiftIDs(dst, offset), stats
 }
 
-// verifyFiltered is verifyCandidates with the accept predicate applied
-// to each drained candidate before it enters a gather batch. Rejected
-// ids cost one predicate call and nothing else.
-func (ix *Index) verifyFiltered(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, reranked int) {
-	if ix.sq8 != nil {
-		return ix.verifyQuantizedFiltered(ctx, q, k, nCand, accept)
-	}
-	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		drained := false
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				drained = true
-				break
-			}
-			if !accept(r.ID) {
-				ctx.rejected++
-				continue
-			}
-			ctx.ids[b] = int32(r.ID)
-			b++
-		}
-		if b > 0 {
-			ix.store.GatherDistancesInto(ctx.ids[:b], q, ix.metric, ctx.dists[:b])
-			ctx.bytes += int64(b) * int64(ix.store.Dim()) * 4
-			for i := 0; i < b; i++ {
-				ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-			}
-			verified += b
-		}
-		if drained {
-			break
-		}
-	}
-	return verified, 0
-}
-
-// verifyQuantizedFiltered is verifyQuantized with the accept predicate
-// applied before the quantized score gather; the exact re-rank then only
-// ever sees matching candidates.
-func (ix *Index) verifyQuantizedFiltered(ctx *searchCtx, q []float32, k, nCand int, accept func(id int) bool) (verified, reranked int) {
-	rr := ix.rerank
-	if rr < k {
-		rr = k
-	}
-	ix.sq8.Prepare(ix.metric, q, &ctx.sq8q)
-	ctx.rr.Reset(rr)
-	for verified < nCand {
-		b := 0
-		max := nCand - verified
-		if max > verifyBatch {
-			max = verifyBatch
-		}
-		drained := false
-		for b < max {
-			r, ok := ctx.s.Next()
-			if !ok {
-				drained = true
-				break
-			}
-			if !accept(r.ID) {
-				ctx.rejected++
-				continue
-			}
-			ctx.ids[b] = int32(r.ID)
-			b++
-		}
-		if b > 0 {
-			ix.sq8.GatherScoresInto(ctx.ids[:b], &ctx.sq8q, ctx.scores[:b])
-			ctx.bytes += int64(b) * int64(ix.store.Dim())
-			for i := 0; i < b; i++ {
-				ctx.rr.Add(int(ctx.ids[i]), float64(ctx.scores[i]))
-			}
-			verified += b
-		}
-		if drained {
-			break
-		}
-	}
-	start := time.Now()
-	ctx.rrBuf = ctx.rr.AppendSorted(ctx.rrBuf[:0])
-	for base := 0; base < len(ctx.rrBuf); base += verifyBatch {
-		c := len(ctx.rrBuf) - base
-		if c > verifyBatch {
-			c = verifyBatch
-		}
-		for i := 0; i < c; i++ {
-			ctx.ids[i] = int32(ctx.rrBuf[base+i].ID)
-		}
-		ix.store.GatherDistancesInto(ctx.ids[:c], q, ix.metric, ctx.dists[:c])
-		ctx.bytes += int64(c) * int64(ix.store.Dim()) * 4
-		for i := 0; i < c; i++ {
-			ctx.best.Add(int(ctx.ids[i]), ctx.dists[i])
-		}
-	}
-	reranked = len(ctx.rrBuf)
-	obs.ObserveDur(obs.StageRerank, time.Since(start))
-	return verified, reranked
-}
-
 // Data returns the indexed vector with the given id (a view into the
 // flat store; treat it as read-only).
 func (ix *Index) Data(id int) []float32 { return ix.store.Row(id) }
 
 // Store returns the flat vector store backing the index (read-only).
 func (ix *Index) Store() *vec.Store { return ix.store }
-
-// SearchOffset is Search for shard-local use: the index covers a
-// contiguous slice of a larger dataset starting at global id offset, and
-// every returned neighbor id is shifted by offset so results from several
-// shards merge without remapping.
-func (ix *Index) SearchOffset(q []float32, k, lambda, offset int) []pqueue.Neighbor {
-	return shiftIDs(ix.Search(q, k, lambda), offset)
-}
-
-// SearchOffsetInto is SearchOffset appending into dst (reset to dst[:0]
-// first), the zero-allocation shard fan-out path.
-func (ix *Index) SearchOffsetInto(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res := ix.SearchInto(q, k, lambda, dst)
-	shiftIDs(res, offset)
-	return res
-}
-
-// SearchOffsetIntoStats is SearchOffsetInto returning the query's work
-// counters — the traced shard fan-out path.
-func (ix *Index) SearchOffsetIntoStats(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	res, stats := ix.searchInto(q, k, lambda, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
-}
 
 // shiftIDs adds offset to every neighbor id in place and returns the
 // slice.

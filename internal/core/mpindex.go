@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"lccs/internal/lshfamily"
-	"lccs/internal/obs"
 	"lccs/internal/pqueue"
 	"lccs/internal/vec"
 )
@@ -123,74 +121,34 @@ func (ix *MPIndex) Probes() int { return ix.probes }
 // Algorithm 3, merged into one candidate stream (deduplicated), verified
 // with exact distances.
 func (ix *MPIndex) Search(q []float32, k, lambda int) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, nil)
-	return res
-}
-
-// SearchInto is Search appending into dst (reset to dst[:0] first).
-func (ix *MPIndex) SearchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res, _ := ix.searchInto(q, k, lambda, dst[:0])
-	return res
-}
-
-// SearchOffset is Search for shard-local use, with every returned
-// neighbor id shifted by the shard's global id offset.
-func (ix *MPIndex) SearchOffset(q []float32, k, lambda, offset int) []pqueue.Neighbor {
-	return shiftIDs(ix.Search(q, k, lambda), offset)
-}
-
-// SearchOffsetInto is SearchOffset appending into dst (reset to dst[:0]
-// first).
-func (ix *MPIndex) SearchOffsetInto(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	res := ix.SearchInto(q, k, lambda, dst)
-	shiftIDs(res, offset)
+	res, _ := ix.searchInto(q, k, lambda, nil, nil)
 	return res
 }
 
 // SearchWithStats is Search plus work counters.
 func (ix *MPIndex) SearchWithStats(q []float32, k, lambda int) ([]pqueue.Neighbor, SearchStats) {
-	return ix.searchInto(q, k, lambda, nil)
+	return ix.searchInto(q, k, lambda, nil, nil)
 }
 
-// SearchOffsetIntoStats is SearchOffsetInto returning the query's work
-// counters — the traced shard fan-out path.
-func (ix *MPIndex) SearchOffsetIntoStats(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	res, stats := ix.searchInto(q, k, lambda, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
-}
-
-// SearchFilterOffsetIntoStats is SearchOffsetIntoStats restricted to
-// candidates the accept predicate admits; the multi-probe candidate
-// stream is drained past rejected ids exactly like the single-probe
-// filtered path. A nil accept takes the unfiltered path.
+// SearchFilterOffsetIntoStats is the shard-local multi-probe query (see
+// Index.SearchFilterOffsetIntoStats); the multi-probe candidate stream
+// is drained past the ids a non-nil accept rejects exactly like the
+// single-probe stream.
 func (ix *MPIndex) SearchFilterOffsetIntoStats(q []float32, k, lambda, offset int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if accept == nil {
-		return ix.SearchOffsetIntoStats(q, k, lambda, offset, dst)
-	}
-	res, stats := ix.searchFilterIntoMP(q, k, lambda, accept, dst[:0])
-	shiftIDs(res, offset)
-	return res, stats
+	res, stats := ix.searchInto(q, k, lambda, accept, dst[:0])
+	return shiftIDs(res, offset), stats
 }
 
-// searchFilterIntoMP mirrors searchInto with filtered verification.
-func (ix *MPIndex) searchFilterIntoMP(q []float32, k, lambda int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
+// searchInto runs the multi-probe query with pooled scratch, appending
+// the k nearest to dst (which may be nil); a non-nil accept restricts
+// it to the candidates the predicate admits.
+func (ix *MPIndex) searchInto(q []float32, k, lambda int, accept func(id int) bool, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
 	if k <= 0 || lambda <= 0 {
 		return dst, SearchStats{}
 	}
 	ctx := ix.ctxs.Get().(*searchCtx)
 	issued := ix.issueProbes(ctx, q)
-
-	nCand := lambda + k - 1
-	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	start := time.Now()
-	verified, reranked := ix.verifyFiltered(ctx, q, k, nCand, accept)
-	obs.ObserveDur(obs.StageFilter, time.Since(start))
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: issued, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes, FilterRejected: ctx.rejected}
-	ix.ctxs.Put(ctx)
-	return dst, stats
+	return ix.finish(ctx, q, k, lambda, issued, accept, dst)
 }
 
 // issueProbes hashes q, begins the CSA scan, and issues the perturbed
@@ -222,23 +180,4 @@ func (ix *MPIndex) issueProbes(ctx *searchCtx, q []float32) int {
 		}
 	}
 	return issued
-}
-
-// searchInto runs the multi-probe query with pooled scratch, appending
-// the k nearest to dst (which may be nil).
-func (ix *MPIndex) searchInto(q []float32, k, lambda int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, SearchStats) {
-	if k <= 0 || lambda <= 0 {
-		return dst, SearchStats{}
-	}
-	ctx := ix.ctxs.Get().(*searchCtx)
-	issued := ix.issueProbes(ctx, q)
-
-	nCand := lambda + k - 1
-	ctx.best.Reset(k)
-	ctx.bytes, ctx.rejected = 0, 0
-	verified, reranked := ix.verifyCandidates(ctx, q, k, nCand)
-	dst = ctx.best.AppendSorted(dst)
-	stats := SearchStats{Candidates: verified, Probes: issued, Comparisons: ctx.s.Comparisons(), Reranked: reranked, BytesScanned: ctx.bytes}
-	ix.ctxs.Put(ctx)
-	return dst, stats
 }

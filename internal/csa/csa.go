@@ -259,7 +259,7 @@ type bounds struct {
 // buffer) and is therefore not safe for concurrent use; create one
 // Searcher per goroutine — or, as the core index does, keep Searchers in
 // a sync.Pool. At steady state (buffers grown to their working size) a
-// full Begin/Next/SearchInto cycle performs no heap allocations.
+// full Begin/Next drain performs no heap allocations.
 type Searcher struct {
 	c       *CSA
 	heap    *pqueue.Heap[entry]
@@ -455,15 +455,8 @@ func (s *Searcher) Next() (Result, bool) {
 // the longest LCCS against q, in non-increasing length order. Fewer than k
 // results are returned only when k > n.
 func (s *Searcher) Search(q []int32, k int) []Result {
-	return s.SearchInto(q, k, make([]Result, 0, k))
-}
-
-// SearchInto is Search appending into dst (reset to dst[:0] first): the
-// zero-allocation path for callers that reuse a result buffer across
-// queries.
-func (s *Searcher) SearchInto(q []int32, k int, dst []Result) []Result {
 	s.Begin(q)
-	return s.drainInto(k, dst[:0])
+	return s.drainInto(k, make([]Result, 0, k))
 }
 
 // SearchSimple is Search without the next-link narrowing (ablation).

@@ -187,7 +187,7 @@ type Collection struct {
 	name    string
 	spec    Spec
 	backend lccs.Searcher
-	dur     *lccs.DurableIndex // nil for adopted and memory-only collections
+	dur     *lccs.DurableIndex // nil for memory-only and immutable collections
 	dyn     *lccs.DynamicIndex // nil when the backend is immutable
 	adopted bool
 	dir     string // "" for adopted and memory-only collections
@@ -207,7 +207,7 @@ func (c *Collection) Spec() Spec { return c.spec }
 func (c *Collection) Backend() lccs.Searcher { return c.backend }
 
 // Durable returns the durable handle, or nil when the collection is
-// memory-only or adopted.
+// memory-only or immutable.
 func (c *Collection) Durable() *lccs.DurableIndex { return c.dur }
 
 // Dynamic returns the writable handle, or nil when the backend is
@@ -266,20 +266,23 @@ func (e *Engine) collDir(name string) string {
 
 // Adopt registers a pre-built backend under name. The registry does not
 // manage its storage: it cannot be dropped, and Close leaves it alone
-// (the daemon owns its lifecycle). dur may carry the durable handle
-// when the backend is one, so per-collection WAL stats keep working.
-func (e *Engine) Adopt(name string, backend lccs.Searcher, dur *lccs.DurableIndex) (*Collection, error) {
+// (the daemon owns its lifecycle). The collection's Durable and Dynamic
+// handles follow from the backend's concrete type, so an adopted
+// DurableIndex keeps its batch writes and WAL stats and an adopted
+// DynamicIndex stays writable.
+func (e *Engine) Adopt(name string, backend lccs.Searcher) (*Collection, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
 	if backend == nil {
 		return nil, errors.New("engine: Adopt requires a backend")
 	}
-	c := &Collection{name: name, backend: backend, dur: dur, adopted: true}
-	if dur != nil {
-		c.dyn = dur.DynamicIndex
-	} else if dyn, ok := backend.(*lccs.DynamicIndex); ok {
-		c.dyn = dyn
+	c := &Collection{name: name, backend: backend, adopted: true}
+	switch b := backend.(type) {
+	case *lccs.DurableIndex:
+		c.dur, c.dyn = b, b.DynamicIndex
+	case *lccs.DynamicIndex:
+		c.dyn = b
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

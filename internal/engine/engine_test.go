@@ -143,11 +143,11 @@ func TestRootlessEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := e.Adopt("default", sx, nil)
+	d, err := e.Adopt("default", sx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Adopted() || d.Dynamic() != nil {
+	if !d.Adopted() || d.Dynamic() != nil || d.Durable() != nil {
 		t.Fatalf("adopted state: %+v", d)
 	}
 	if err := e.Drop("default"); !errors.Is(err, ErrAdopted) {
@@ -158,5 +158,54 @@ func TestRootlessEngine(t *testing.T) {
 	}
 	if _, err := e.Create("other", Spec{Metric: "bogus"}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("bad metric: %v", err)
+	}
+}
+
+// TestAdoptDerivesHandles: an adopted backend's Durable and Dynamic
+// handles follow from its concrete type, so an adopted writable index
+// never turns read-only.
+func TestAdoptDerivesHandles(t *testing.T) {
+	e, err := New("", Spec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	data := [][]float32{{1, 2}, {3, 4}, {5, 6}}
+	cfg := lccs.Config{Metric: lccs.Euclidean, M: 8, Seed: 2, BucketWidth: 4}
+	ix, err := lccs.NewIndex(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := lccs.NewShardedIndex(data, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := lccs.NewDynamicIndex(data, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur, err := lccs.OpenDurable(t.TempDir(), lccs.DurableConfig{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	for _, tc := range []struct {
+		name    string
+		backend lccs.Searcher
+		dur     *lccs.DurableIndex
+		dyn     *lccs.DynamicIndex
+	}{
+		{"index", ix, nil, nil},
+		{"sharded", sx, nil, nil},
+		{"dynamic", dyn, nil, dyn},
+		{"durable", dur, dur, dur.DynamicIndex},
+	} {
+		c, err := e.Adopt(tc.name, tc.backend)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.Durable() != tc.dur || c.Dynamic() != tc.dyn {
+			t.Errorf("%s: Durable() = %p, Dynamic() = %p; want %p, %p", tc.name, c.Durable(), c.Dynamic(), tc.dur, tc.dyn)
+		}
 	}
 }

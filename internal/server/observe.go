@@ -41,10 +41,10 @@ func (s *Server) recordHealth(c *coll, hs obs.HealthSample) {
 // number billing cares about — is exact because the counter itself is
 // monotone.
 func walAppended(c *coll) int64 {
-	if c.walStats == nil {
+	if c.dur == nil {
 		return 0
 	}
-	return c.walStats.WALStats().AppendedBytes
+	return c.dur.WALStats().AppendedBytes
 }
 
 // ---- usage endpoints ----
@@ -80,8 +80,8 @@ func (s *Server) handleCollUsage(w http.ResponseWriter, r *http.Request) {
 		Cumulative: c.usage.Snapshot(),
 		Windows:    s.windowsOf(c.health),
 	}
-	if c.walStats != nil {
-		ws := c.walStats.WALStats()
+	if c.dur != nil {
+		ws := c.dur.WALStats()
 		resp.WAL = &ws
 	}
 	s.respond(w, c.name, "usage", http.StatusOK, resp)
@@ -181,10 +181,10 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	for _, c := range colls {
 		resp.Collections[c.name] = c.health.Window(now, healthWindows[0])
-		if c.walStats == nil {
+		if c.dur == nil {
 			continue
 		}
-		ws := c.walStats.WALStats()
+		ws := c.dur.WALStats()
 		resp.WAL = append(resp.WAL, walHealth{
 			Collection:      c.name,
 			FsyncLagRecords: ws.LastLSN - ws.SyncedLSN,

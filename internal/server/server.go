@@ -50,72 +50,6 @@ import (
 	"lccs/internal/obs"
 )
 
-// Inserter is the optional write interface of a backend; DynamicIndex
-// implements it. Backends that do not are served read-only and
-// /v1/insert answers 501.
-//
-// Any error a custom Inserter returns is treated as a failed insert.
-// The library's own DynamicIndex is special-cased: its Add is
-// documented to deliver a *previous* background build's failure
-// alongside a successful insert, so for that backend a non-validation
-// error keeps the id and is surfaced to clients as a warning.
-type Inserter interface {
-	Add(v []float32) (int, error)
-}
-
-// AttrInserter is the metadata-carrying write interface; DynamicIndex
-// implements it. Backends without it answer attribute inserts with 501.
-type AttrInserter interface {
-	AddWithAttrs(v []float32, a lccs.Attrs) (int, error)
-}
-
-// BatchInserter is the optional bulk-write interface of a backend;
-// DurableIndex implements it. When present, /v1/insert applies the
-// whole request through one AddBatch call — on a write-ahead-logged
-// backend that is one journal append and one group-committed fsync for
-// the entire batch instead of one per vector.
-type BatchInserter interface {
-	AddBatch(vecs [][]float32) ([]int, error)
-}
-
-// AttrBatchInserter is the bulk counterpart of AttrInserter;
-// DurableIndex implements it.
-type AttrBatchInserter interface {
-	AddBatchWithAttrs(vecs [][]float32, attrs []lccs.Attrs) ([]int, error)
-}
-
-// Deleter is the optional delete interface of a backend; DynamicIndex
-// implements it. Delete reports whether the id was live. Backends that
-// do not implement it answer /v1/delete with 501.
-type Deleter interface {
-	Delete(id int) bool
-}
-
-// DurableDeleter is the error-aware delete interface of a durable
-// backend (DurableIndex): the delete is acknowledged only once it is
-// durable per the backend's sync policy, and a journal failure is
-// reported instead of being swallowed. Preferred over Deleter when
-// implemented.
-type DurableDeleter interface {
-	DeleteDurable(id int) (bool, error)
-}
-
-// BatchDeleter is the bulk counterpart of DurableDeleter; DurableIndex
-// implements it. When present, /v1/delete applies the whole id batch
-// through one DeleteBatch call — one journal append and one
-// group-committed fsync instead of one per id. It reports how many ids
-// were live and which were unknown or already deleted.
-type BatchDeleter interface {
-	DeleteBatch(ids []int) (deleted int, missing []int, err error)
-}
-
-// WALStatser exposes write-ahead-log health; DurableIndex implements
-// it. When present, WAL depth and fsync latency appear in /v1/stats
-// and /metrics.
-type WALStatser interface {
-	WALStats() lccs.WALStats
-}
-
 // Config configures a Server.
 type Config struct {
 	// Backend, when set, is adopted as the collection named "default":
@@ -175,33 +109,19 @@ type Config struct {
 }
 
 // coll is the server-side request state of one collection: the
-// backend's capability interfaces resolved once, the write generation
-// folded into its cache keys, and its admission occupancy.
+// backend answering its reads, the engine's typed write handles, the
+// write generation folded into its cache keys, and its admission
+// occupancy.
 type coll struct {
 	name    string
 	backend lccs.Searcher
-	// dynInserter marks the backend as the library's own
-	// DynamicIndex/DurableIndex, whose Add is documented to deliver
-	// deferred background-build failures alongside a *successful*
-	// insert. Only then is a non-validation Add error downgraded to a
-	// warning; a custom Inserter's errors are always treated as failed
-	// inserts.
-	inserter    Inserter
-	dynInserter bool
-	attrIns     AttrInserter
-	batch       BatchInserter
-	attrBatch   AttrBatchInserter
-	deleter     Deleter
-	durDeleter  DurableDeleter
-	batchDel    BatchDeleter
-	walStats    WALStatser
-	traced      lccs.TracedSearcher
-	filt        lccs.FilterSearcher
-	cur         lccs.CursorSearcher
-	// cost is the unified metered query path (filter + cost record +
-	// trace in one call); the library facades all implement it. When
-	// present it supersedes traced/filt for single searches.
-	cost lccs.CostSearcher
+	// dur and dyn are the collection's write handles (engine.Collection
+	// Durable and Dynamic): a durable collection writes through dur's
+	// journaled batch paths, a memory-only dynamic one through dyn's
+	// per-vector paths, and one with neither is read-only. dur, when
+	// set, also reports WAL health.
+	dur *lccs.DurableIndex
+	dyn *lccs.DynamicIndex
 	// spec is the resolved collection configuration (zero for adopted
 	// backends); EXPLAIN reports its quantize/re-rank settings.
 	spec engine.Spec
@@ -223,52 +143,10 @@ type coll struct {
 	quotaRejected atomic.Uint64
 }
 
-// newColl resolves a backend's capability interfaces once.
+// newColl builds the request state of a registry collection.
 func newColl(ec *engine.Collection) *coll {
-	name, backend := ec.Name(), ec.Backend()
-	c := &coll{name: name, backend: backend, spec: ec.Spec(),
-		usage: ec.Usage(), health: new(obs.Health)}
-	if t, ok := backend.(lccs.TracedSearcher); ok {
-		c.traced = t
-	}
-	if ins, ok := backend.(Inserter); ok {
-		c.inserter = ins
-		switch backend.(type) {
-		case *lccs.DynamicIndex, *lccs.DurableIndex:
-			c.dynInserter = true
-		}
-	}
-	if ai, ok := backend.(AttrInserter); ok {
-		c.attrIns = ai
-	}
-	if b, ok := backend.(BatchInserter); ok {
-		c.batch = b
-	}
-	if ab, ok := backend.(AttrBatchInserter); ok {
-		c.attrBatch = ab
-	}
-	if del, ok := backend.(Deleter); ok {
-		c.deleter = del
-	}
-	if del, ok := backend.(DurableDeleter); ok {
-		c.durDeleter = del
-	}
-	if del, ok := backend.(BatchDeleter); ok {
-		c.batchDel = del
-	}
-	if ws, ok := backend.(WALStatser); ok {
-		c.walStats = ws
-	}
-	if f, ok := backend.(lccs.FilterSearcher); ok {
-		c.filt = f
-	}
-	if cu, ok := backend.(lccs.CursorSearcher); ok {
-		c.cur = cu
-	}
-	if cs, ok := backend.(lccs.CostSearcher); ok {
-		c.cost = cs
-	}
-	return c
+	return &coll{name: ec.Name(), backend: ec.Backend(), dur: ec.Durable(), dyn: ec.Dynamic(),
+		spec: ec.Spec(), usage: ec.Usage(), health: new(obs.Health)}
 }
 
 // Server is the HTTP front end over the collection registry. Construct
@@ -348,8 +226,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Backend != nil {
-		dur, _ := cfg.Backend.(*lccs.DurableIndex)
-		if _, err := eng.Adopt(DefaultCollection, cfg.Backend, dur); err != nil {
+		if _, err := eng.Adopt(DefaultCollection, cfg.Backend); err != nil {
 			return nil, fmt.Errorf("server: adopting default backend: %w", err)
 		}
 	}
@@ -788,11 +665,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		res, err = s.search(c, req.Query, req.K, req.Budget, f, sc.res, co, tr)
 	}
 	if err != nil {
-		code := statusFor(err)
-		if errors.Is(err, errNotSupported) {
-			code = http.StatusNotImplemented
-		}
-		s.fail(w, c.name, "search", code, err)
+		s.fail(w, c.name, "search", statusFor(err), err)
 		return
 	}
 	if !paginated {
@@ -883,53 +756,25 @@ func (s *Server) recordSlow(reqID uint64, endpoint, collection string, f *lccs.F
 	}
 }
 
-// errNotSupported marks a request for a capability the collection's
-// backend lacks; the handler maps it to 501.
-var errNotSupported = errors.New("backend does not support this request")
-
-// search routes an unpaginated query to the backend. The library
-// facades all implement CostSearcher, whose one metered call covers
-// filter + cost record + trace at once; co is filled in place (the
-// caller passes pooled scratch, so accounting allocates nothing). A
-// custom backend without it falls back to the legacy capability
-// routing: the filtered path when f is set, otherwise the
-// default-budget (budget == 0) or explicit-budget call, appending into
-// the pooled dst row — its cost record simply stays zero. A negative
-// budget is the client's error, not a request for the default.
+// search runs an unpaginated query through the backend's one search
+// body, which covers filter + cost record + trace at once; co is filled
+// in place (the caller passes pooled scratch, so accounting allocates
+// nothing) and results are appended into the pooled dst row. A budget
+// of 0 selects the collection's default; a negative budget is the
+// client's error, not a request for the default.
 func (s *Server) search(c *coll, q []float32, k, budget int, f *lccs.Filter, dst []lccs.Neighbor, co *lccs.Cost, tr *obs.Trace) ([]lccs.Neighbor, error) {
 	if budget < 0 {
 		return dst, lccs.ErrInvalidBudget
 	}
-	if c.cost != nil {
-		return c.cost.SearchCostInto(q, k, budget, f, dst, co, tr)
-	}
-	if f != nil {
-		if c.filt == nil {
-			return dst, fmt.Errorf("%w: filtered search", errNotSupported)
-		}
-		if budget > 0 {
-			return c.filt.SearchFilterBudgetInto(q, k, budget, f, dst)
-		}
-		return c.filt.SearchFilter(q, k, f)
-	}
-	if tr != nil && c.traced != nil {
-		return c.traced.SearchBudgetIntoTraced(q, k, budget, dst, tr)
-	}
-	if budget > 0 {
-		return c.backend.SearchBudgetInto(q, k, budget, dst)
-	}
-	return c.backend.SearchInto(q, k, dst)
+	return c.backend.SearchCostInto(q, k, budget, f, dst, co, tr)
 }
 
-// searchCursor routes a paginated query to the backend's cursor path.
+// searchCursor runs a paginated query through the backend's cursor path.
 func (s *Server) searchCursor(c *coll, q []float32, limit, budget int, f *lccs.Filter, cursor string) ([]lccs.Neighbor, string, error) {
 	if budget < 0 {
 		return nil, "", lccs.ErrInvalidBudget
 	}
-	if c.cur == nil {
-		return nil, "", fmt.Errorf("%w: cursor pagination", errNotSupported)
-	}
-	return c.cur.SearchCursor(q, limit, budget, f, cursor)
+	return c.backend.SearchCursor(q, limit, budget, f, cursor)
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
@@ -1023,7 +868,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.reqID.Add(1)
-	if c.inserter == nil {
+	if c.dyn == nil {
 		s.fail(w, c.name, "insert", http.StatusNotImplemented,
 			errors.New("backend is read-only: inserts need a DynamicIndex (-dynamic)"))
 		return
@@ -1051,11 +896,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%w: %d attr rows for %d vectors", lccs.ErrAttrsMismatch, len(req.Attrs), len(req.Vectors)))
 			return
 		}
-		if c.attrIns == nil && c.attrBatch == nil {
-			s.fail(w, c.name, "insert", http.StatusNotImplemented,
-				errors.New("backend does not support vector attributes"))
-			return
-		}
 		var err error
 		attrs, err = parseAttrs(req.Attrs)
 		if err != nil {
@@ -1067,10 +907,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// either every vector goes in or none does. The batch must be
 	// internally consistent and, when the backend already knows its
 	// dimensionality, match it.
-	dim := 0
-	if d, ok := c.backend.(interface{ Dim() int }); ok {
-		dim = d.Dim()
-	}
+	dim := c.dyn.Dim()
 	for i, v := range req.Vectors {
 		if len(v) == 0 {
 			s.fail(w, c.name, "insert", http.StatusBadRequest,
@@ -1126,36 +963,32 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyInserts pushes a pre-validated vector batch (with optional
-// aligned attrs) into the backend. On a durable backend (BatchInserter)
-// the whole batch is one journal append — and, crucially, the call
-// returns only once the batch is durable per the configured sync
-// policy, so a 200 never acknowledges a write a crash could lose. A
-// durability failure is a 503 (the write may be applied in memory but
-// not on disk); a rejected vector is a 400. A deferred background-build
-// failure is reported as a warning alongside success, matching
-// DynamicIndex.Add's documented semantics.
+// aligned attrs) into the collection. On a durable collection the whole
+// batch is one journal append — and, crucially, the call returns only
+// once the batch is durable per the configured sync policy, so a 200
+// never acknowledges a write a crash could lose. A durability failure
+// is a 503 (the write may be applied in memory but not on disk); a
+// rejected vector is a 400. A deferred background-build failure is
+// reported as a warning alongside success, matching DynamicIndex.Add's
+// documented semantics.
 func (s *Server) applyInserts(c *coll, vectors [][]float32, attrs []lccs.Attrs) (ids []int, warning string, failCode int, failErr error) {
-	if attrs == nil && c.batch != nil {
-		return s.finishBatch(c.batch.AddBatch(vectors))
-	}
-	if attrs != nil && c.attrBatch != nil {
-		return s.finishBatch(c.attrBatch.AddBatchWithAttrs(vectors, attrs))
+	if c.dur != nil {
+		if attrs == nil {
+			return s.finishBatch(c.dur.AddBatch(vectors))
+		}
+		return s.finishBatch(c.dur.AddBatchWithAttrs(vectors, attrs))
 	}
 	ids = make([]int, 0, len(vectors))
 	for i, v := range vectors {
-		var id int
-		var err error
+		var a lccs.Attrs
 		if attrs != nil {
-			id, err = c.attrIns.AddWithAttrs(v, attrs[i])
-		} else {
-			id, err = c.inserter.Add(v)
+			a = attrs[i]
 		}
+		id, err := c.dyn.AddWithAttrs(v, a)
 		switch {
-		case err != nil && errors.Is(err, lccs.ErrNotDurable):
-			return ids, "", http.StatusServiceUnavailable, fmt.Errorf("vector %d: %w", i, err)
-		case err != nil && (!c.dynInserter || isRejectedInsert(err)):
-			// Should be unreachable after pre-validation, but a custom
-			// Inserter may reject for its own reasons.
+		case err != nil && isRejectedInsert(err):
+			// Unreachable after pre-validation; kept so a rejected
+			// vector can never be acknowledged.
 			return ids, "", http.StatusBadRequest, fmt.Errorf("vector %d rejected: %w", i, err)
 		case err != nil:
 			// DynamicIndex.Add surfaces a *previous* background build
@@ -1192,7 +1025,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.reqID.Add(1)
-	if c.deleter == nil {
+	if c.dyn == nil {
 		s.fail(w, c.name, "delete", http.StatusNotImplemented,
 			errors.New("backend cannot delete: deletes need a DynamicIndex (-dynamic)"))
 		return
@@ -1217,16 +1050,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, c.name, "delete", http.StatusBadRequest, errors.New("no ids in request"))
 		return
 	}
-	// On a durable backend the error-aware paths are used: the delete
-	// is acknowledged only after it is journaled per the sync policy —
-	// the whole batch under a single group-committed wait when the
-	// backend has a bulk path — and a journal failure turns into a 503
+	// On a durable collection the delete is acknowledged only after it
+	// is journaled per the sync policy — the whole batch under a single
+	// group-committed wait — and a journal failure turns into a 503
 	// instead of a silently non-durable 200.
 	walBefore := walAppended(c)
 	var resp deleteResponse
-	switch {
-	case c.batchDel != nil:
-		deleted, missing, err := c.batchDel.DeleteBatch(ids)
+	if c.dur != nil {
+		deleted, missing, err := c.dur.DeleteBatch(ids)
 		resp.Deleted, resp.Missing = deleted, missing
 		if err != nil {
 			if deleted > 0 {
@@ -1237,29 +1068,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, c.name, "delete", http.StatusServiceUnavailable, err)
 			return
 		}
-	default:
+	} else {
 		for _, id := range ids {
-			var live bool
-			var err error
-			if c.durDeleter != nil {
-				live, err = c.durDeleter.DeleteDurable(id)
-			} else {
-				live = c.deleter.Delete(id)
-			}
-			if live {
+			if c.dyn.Delete(id) {
 				resp.Deleted++
 			} else {
 				resp.Missing = append(resp.Missing, id)
-			}
-			if err != nil {
-				if resp.Deleted > 0 {
-					c.gen.Add(1)
-					c.deletes.Add(uint64(resp.Deleted))
-					c.usage.AddDelete(resp.Deleted, walAppended(c)-walBefore)
-				}
-				s.fail(w, c.name, "delete", http.StatusServiceUnavailable,
-					fmt.Errorf("id %d: %w (deleted %d of %d before the failure)", id, err, resp.Deleted, len(ids)))
-				return
 			}
 		}
 	}
@@ -1282,7 +1096,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, c.name, "delete", http.StatusOK, resp)
 }
 
-// isRejectedInsert reports whether an Inserter.Add error means the
+// isRejectedInsert reports whether an Add error means the
 // vector was rejected (DynamicIndex's validation errors), as opposed to
 // a deferred background-build failure delivered alongside a successful
 // insert.
@@ -1467,8 +1281,8 @@ func (s *Server) collStats(c *coll) CollectionStats {
 		QuotaRejected: c.quotaRejected.Load(),
 		Backend:       backendStats(c),
 	}
-	if c.walStats != nil {
-		ws := c.walStats.WALStats()
+	if c.dur != nil {
+		ws := c.dur.WALStats()
 		st.WAL = &ws
 	}
 	return st
@@ -1524,7 +1338,7 @@ func (s *Server) StatsSnapshot() Stats {
 
 // backendStats inspects the concrete facade behind one collection.
 func backendStats(c *coll) BackendStats {
-	b := BackendStats{Vectors: c.backend.Len(), Writable: c.inserter != nil}
+	b := BackendStats{Vectors: c.backend.Len(), Writable: c.dyn != nil}
 	switch ix := c.backend.(type) {
 	case *lccs.Index:
 		b.Kind = "index"
@@ -1598,7 +1412,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			deletes:    float64(c.deletes.Load()),
 			quotaRej:   float64(c.quotaRejected.Load()),
 			occupancy:  float64(c.occupancy.Load()),
-			hasDeleter: c.deleter != nil,
+			hasDeleter: c.dyn != nil,
 		})
 		totInserts += float64(c.inserts.Load())
 		totDeletes += float64(c.deletes.Load())
@@ -1707,10 +1521,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// WAL health, by collection (the legacy unlabeled series kept for
 	// the default collection).
 	for _, c := range colls {
-		if c.walStats == nil {
+		if c.dur == nil {
 			continue
 		}
-		ws := c.walStats.WALStats()
+		ws := c.dur.WALStats()
 		if c.name == DefaultCollection {
 			counters = append(counters,
 				gauge{name: "lccs_wal_fsyncs_total", help: "Write-ahead log fsync calls.", value: float64(ws.Fsyncs)})
@@ -1724,10 +1538,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, c := range colls {
-		if c.walStats == nil {
+		if c.dur == nil {
 			continue
 		}
-		ws := c.walStats.WALStats()
+		ws := c.dur.WALStats()
 		gauges = append(gauges, gauge{name: "lccs_collection_wal_depth_records",
 			help: "WAL records a crash would replay, by collection.", value: float64(ws.Depth), labels: collLabel(c.name)})
 	}
@@ -1867,6 +1681,7 @@ func statusFor(err error) int {
 		errors.Is(err, lccs.ErrInvalidBudget),
 		errors.Is(err, lccs.ErrEmptyQuery),
 		errors.Is(err, lccs.ErrDimensionMismatch),
+		errors.Is(err, lccs.ErrNonFiniteQuery),
 		errors.Is(err, lccs.ErrInvalidFilter),
 		errors.Is(err, lccs.ErrCursorInvalid):
 		return http.StatusBadRequest

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -437,13 +438,14 @@ func (b *blockingBackend) SearchBudget(q []float32, k, lambda int) ([]lccs.Neigh
 	return b.Search(q, k)
 }
 
-func (b *blockingBackend) SearchInto(q []float32, k int, dst []lccs.Neighbor) ([]lccs.Neighbor, error) {
+func (b *blockingBackend) SearchCostInto(q []float32, k, lambda int, f *lccs.Filter, dst []lccs.Neighbor, co *lccs.Cost, tr *lccs.Trace) ([]lccs.Neighbor, error) {
 	res, err := b.Search(q, k)
 	return append(dst[:0], res...), err
 }
 
-func (b *blockingBackend) SearchBudgetInto(q []float32, k, lambda int, dst []lccs.Neighbor) ([]lccs.Neighbor, error) {
-	return b.SearchInto(q, k, dst)
+func (b *blockingBackend) SearchCursor(q []float32, limit, lambda int, f *lccs.Filter, cursor string) ([]lccs.Neighbor, string, error) {
+	res, err := b.Search(q, limit)
+	return res, "", err
 }
 func (b *blockingBackend) SearchBatch(qs [][]float32, k int) ([][]lccs.Neighbor, error) {
 	return [][]lccs.Neighbor{}, nil
@@ -676,5 +678,19 @@ func TestServeMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestStatusForQueryErrors: every typed query-validation error — the
+// non-finite component check included — is the client's fault.
+func TestStatusForQueryErrors(t *testing.T) {
+	for _, err := range []error{lccs.ErrInvalidK, lccs.ErrInvalidBudget, lccs.ErrEmptyQuery,
+		lccs.ErrDimensionMismatch, lccs.ErrNonFiniteQuery, lccs.ErrInvalidFilter, lccs.ErrCursorInvalid} {
+		if code := statusFor(fmt.Errorf("wrapped: %w", err)); code != http.StatusBadRequest {
+			t.Errorf("statusFor(%v) = %d, want 400", err, code)
+		}
+	}
+	if code := statusFor(lccs.ErrCursorStale); code != http.StatusGone {
+		t.Errorf("statusFor(ErrCursorStale) = %d, want 410", code)
 	}
 }

@@ -664,11 +664,11 @@ func TestGoldenFormat5(t *testing.T) {
 	f := &Filter{Terms: []FilterTerm{EqStr("color", "red")}}
 	for qi := 0; qi < 10; qi++ {
 		q := data[qi*7]
-		a, err := fresh.SearchFilterBudgetInto(q, 5, len(data), f, nil)
+		a, err := fresh.SearchCostInto(q, 5, len(data), f, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.SearchFilterBudgetInto(q, 5, len(data), f, nil)
+		b, err := loaded.SearchCostInto(q, 5, len(data), f, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -724,11 +724,11 @@ func TestFormat5SingleRoundTrip(t *testing.T) {
 		}
 	}
 	f := &Filter{Terms: []FilterTerm{EqInt("price", 33)}}
-	a, err := ix.SearchFilterBudgetInto(data[0], 3, len(data), f, nil)
+	a, err := ix.SearchCostInto(data[0], 3, len(data), f, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.SearchFilterBudgetInto(data[0], 3, len(data), f, nil)
+	b, err := loaded.SearchCostInto(data[0], 3, len(data), f, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

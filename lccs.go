@@ -36,6 +36,7 @@ package lccs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -49,9 +50,9 @@ import (
 )
 
 // Trace is the per-request span recorder of the observability layer
-// (internal/obs), re-exported so callers outside the module can drive
-// the traced search variants. A nil *Trace is always valid and selects
-// the untraced zero-allocation path; every Trace method is nil-safe.
+// (internal/obs), re-exported so callers outside the module can trace
+// SearchCostInto. A nil *Trace is always valid and selects the untraced
+// zero-allocation path; every Trace method is nil-safe.
 type Trace = obs.Trace
 
 // SpanNode is the serialized form of one trace span, children nested —
@@ -66,14 +67,6 @@ func NewTrace(id uint64) *Trace { return obs.GetTrace(id) }
 
 // ReleaseTrace returns a Trace to the pool. Safe on nil.
 func ReleaseTrace(t *Trace) { obs.PutTrace(t) }
-
-// TracedSearcher is implemented by every facade: SearchBudgetInto with
-// per-stage span recording. A non-positive lambda selects the facade's
-// default candidate budget, and a nil trace degenerates to the plain
-// untraced search, so one method covers all four call shapes.
-type TracedSearcher interface {
-	SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error)
-}
 
 // Cost is the per-query resource-cost record accumulated by
 // SearchCostInto: every counter is summed across shards and the delta
@@ -118,28 +111,18 @@ func (c *Cost) addStats(st core.SearchStats) {
 	c.FilterRejected += int64(st.FilterRejected)
 }
 
-// CostSearcher is the unified metered query interface implemented by
-// every facade: filtered or unfiltered budgeted search, appending into
-// dst, accumulating the query's resource cost into co, and recording
-// spans into tr. Each of f, co, and tr may independently be nil — a nil
-// filter matches everything, a nil cost skips accounting, a nil trace
-// skips spans — and the all-nil call is exactly SearchBudgetInto, so
-// the steady-state path stays allocation-free. A non-positive lambda
-// selects the facade's default budget.
+// CostSearcher is the one query path of every facade: a budgeted top-k
+// search appending into dst (reset to dst[:0] first; dst may be nil),
+// restricted to the vectors matching f, accumulating the query's
+// resource cost into co, and recording spans into tr. Each of f, co,
+// and tr may independently be nil — a nil filter matches everything, a
+// nil cost skips accounting, a nil trace skips spans. With a reused dst
+// and nil co and tr, a steady-state query performs no heap
+// allocations. A non-positive lambda selects the facade's default
+// budget.
 type CostSearcher interface {
 	SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error)
 }
-
-// Compile-time conformance of the three facades (DurableIndex embeds
-// DynamicIndex and inherits its traced and metered paths).
-var (
-	_ TracedSearcher = (*Index)(nil)
-	_ TracedSearcher = (*ShardedIndex)(nil)
-	_ TracedSearcher = (*DynamicIndex)(nil)
-	_ CostSearcher   = (*Index)(nil)
-	_ CostSearcher   = (*ShardedIndex)(nil)
-	_ CostSearcher   = (*DynamicIndex)(nil)
-)
 
 // Typed query-validation errors. Every facade returns exactly these (or
 // wrapped forms testable with errors.Is) for the corresponding invalid
@@ -157,28 +140,35 @@ var (
 	// ErrDimensionMismatch is returned when the query dimensionality does
 	// not match the indexed data.
 	ErrDimensionMismatch = errors.New("lccs: query dimension mismatch")
+	// ErrNonFiniteQuery is returned for a query with a NaN or ±Inf
+	// component, whose distances would order nothing.
+	ErrNonFiniteQuery = errors.New("lccs: query has a NaN or infinite component")
 )
 
 // Searcher is the facade-agnostic query interface implemented by Index,
-// ShardedIndex, and DynamicIndex. Consumers that only search — the
-// network server, evaluation harnesses, future backends — should accept
-// a Searcher rather than a concrete facade.
+// ShardedIndex, DynamicIndex, and DurableIndex. Consumers that only
+// search — the network server, evaluation harnesses, future backends —
+// should accept a Searcher rather than a concrete facade.
 //
 // All search methods validate their input and return the package's
 // typed errors (ErrInvalidK, ErrInvalidBudget, ErrEmptyQuery,
-// ErrDimensionMismatch); results are in ascending distance order.
+// ErrDimensionMismatch, ErrNonFiniteQuery, ErrInvalidFilter); results
+// are in ascending distance order.
 type Searcher interface {
 	// Search returns the k nearest neighbors under the facade's default
 	// candidate budget.
 	Search(q []float32, k int) ([]Neighbor, error)
-	// SearchBudget is Search with an explicit candidate budget λ.
+	// SearchBudget is Search with an explicit candidate budget λ > 0.
 	SearchBudget(q []float32, k, lambda int) ([]Neighbor, error)
-	// SearchInto is Search appending into dst (reset to dst[:0] first):
-	// the zero-allocation steady-state path for callers that reuse a
-	// result buffer across queries. dst may be nil.
-	SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error)
-	// SearchBudgetInto is SearchBudget appending into dst.
-	SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error)
+	// CostSearcher is the one search body the other methods call:
+	// filtered, metered, traced, appending into a caller buffer.
+	CostSearcher
+	// SearchCursor pages through the ranked result stream. limit is the
+	// page size; lambda the candidate budget (≤ 0 selects the default,
+	// ignored on resume — the token carries the original); f may be nil.
+	// An empty cursor starts a new scan; the returned next token is
+	// empty once the stream is exhausted.
+	SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) (page []Neighbor, next string, err error)
 	// SearchBatch answers many queries (concurrently where the facade
 	// supports it) under the default budget, in query order.
 	SearchBatch(queries [][]float32, k int) ([][]Neighbor, error)
@@ -190,28 +180,44 @@ type Searcher interface {
 	Distance(a, b []float32) float64
 }
 
-// Compile-time conformance of the three facades.
+// Compile-time conformance of the facades (DurableIndex embeds
+// DynamicIndex and inherits its search methods).
 var (
 	_ Searcher = (*Index)(nil)
 	_ Searcher = (*ShardedIndex)(nil)
 	_ Searcher = (*DynamicIndex)(nil)
 )
 
-// validateQuery applies the shared query contract: positive k and
-// budget, a non-empty query, and (when dim > 0 is known) a matching
-// dimensionality.
-func validateQuery(q []float32, dim, k, lambda int) error {
+// validateBudget applies the explicit-budget contract of SearchBudget
+// and SearchBatchBudget: positive k, then a positive budget λ (λ ≤ 0
+// selects the default only on SearchCostInto and SearchCursor).
+func validateBudget(k, lambda int) error {
 	if k <= 0 {
 		return ErrInvalidK
 	}
 	if lambda <= 0 {
 		return ErrInvalidBudget
 	}
+	return nil
+}
+
+// validateQuery applies the shared query contract: positive k and
+// budget, a non-empty query of finite components, and (when dim > 0 is
+// known) a matching dimensionality.
+func validateQuery(q []float32, dim, k, lambda int) error {
+	if err := validateBudget(k, lambda); err != nil {
+		return err
+	}
 	if len(q) == 0 {
 		return ErrEmptyQuery
 	}
 	if dim > 0 && len(q) != dim {
 		return fmt.Errorf("%w: query has %d dimensions, index has %d", ErrDimensionMismatch, len(q), dim)
+	}
+	for i, v := range q {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return fmt.Errorf("%w: component %d is %v", ErrNonFiniteQuery, i, v)
+		}
 	}
 	return nil
 }
@@ -326,9 +332,9 @@ type Index struct {
 	// scan on the CSA drain. Both are set once by adoptAttrs, before the
 	// index is published, and never mutated afterwards.
 	post *vec.Postings
-	// raw pools the core-typed result buffers behind the Into variants,
-	// so converting to the public Neighbor type allocates nothing at
-	// steady state.
+	// raw pools the core-typed result buffers behind SearchCostInto, so
+	// converting to the public Neighbor type allocates nothing at steady
+	// state.
 	raw sync.Pool
 }
 
@@ -504,80 +510,34 @@ func (ix *Index) Search(q []float32, k int) ([]Neighbor, error) {
 // circular co-substring with the query's. Larger budgets trade query time
 // for recall.
 func (ix *Index) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
-	return ix.SearchBudgetInto(q, k, lambda, nil)
-}
-
-// SearchInto is Search appending into dst (reset to dst[:0] first): with
-// a reused dst, a steady-state query performs no heap allocations.
-func (ix *Index) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	return ix.SearchBudgetInto(q, k, ix.budget, dst)
-}
-
-// SearchBudgetInto is SearchBudget appending into dst (reset to
-// dst[:0] first). dst may be nil.
-func (ix *Index) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
+	if err := validateBudget(k, lambda); err != nil {
 		return nil, err
 	}
-	rb := ix.getRaw()
-	if ix.multi != nil {
-		rb.buf = ix.multi.SearchInto(q, k, lambda, rb.buf)
-	} else {
-		rb.buf = ix.single.SearchInto(q, k, lambda, rb.buf)
-	}
-	if dst == nil {
-		// The plain Search path: one exactly-sized result allocation.
-		dst = make([]Neighbor, 0, len(rb.buf))
-	}
-	dst = appendNeighbors(dst[:0], rb.buf)
-	ix.raw.Put(rb)
-	return dst, nil
+	return ix.SearchCostInto(q, k, lambda, nil, nil, nil, nil)
 }
 
-// SearchBudgetIntoTraced is SearchBudgetInto recording spans into tr:
-// one shard_scan span (an unsharded index is its own single shard)
-// with the CSA comparison and verified-candidate counters, under a
-// query root span. A nil tr selects the untraced path unchanged; a
-// non-positive lambda selects the default budget.
-func (ix *Index) SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return ix.SearchCostInto(q, k, lambda, nil, dst, nil, tr)
-}
-
-// SearchCostInto is the unified metered query path: filtered when f is
-// non-empty, cost-accounted when co is non-nil, span-traced when tr is
-// non-nil, and exactly SearchBudgetInto when all three are nil. A
-// non-positive lambda selects the default budget.
+// SearchCostInto is the index's one search body (see CostSearcher). A
+// traced query records one shard_scan span (an unsharded index is its
+// own single shard) with the CSA comparison, verified-candidate, and
+// bytes-scanned counters, under a query root span. A vector with no
+// metadata matches only the empty filter.
 func (ix *Index) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
 	if lambda <= 0 {
 		lambda = ix.budget
 	}
-	if !f.Empty() {
-		if err := validateFilter(f); err != nil {
-			return nil, err
-		}
+	if err := validateFilter(f); err != nil {
+		return nil, err
 	}
 	if err := validateQuery(q, ix.dim, k, lambda); err != nil {
 		return nil, err
 	}
 	root := tr.StartSpan(obs.StageQuery, -1)
-	sp := tr.StartShardSpan(obs.StageShardScan, root, 0)
 	rb := ix.getRaw()
 	var stats core.SearchStats
-	switch {
-	case !f.Empty():
-		var plan filterPlan
-		rb.buf, stats, plan = ix.searchFilterOffsetIntoStats(q, k, lambda, 0, f, ix.acceptFunc(f), rb.buf)
-		plan.record(tr, sp)
-	case ix.multi != nil:
-		rb.buf, stats = ix.multi.SearchOffsetIntoStats(q, k, lambda, 0, rb.buf)
-	default:
-		rb.buf, stats = ix.single.SearchOffsetIntoStats(q, k, lambda, 0, rb.buf)
-	}
-	if tr != nil {
-		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
-	}
+	rb.buf, stats = ix.scan(q, k, lambda, 0, f, ix.acceptFunc(f), rb.buf, tr, root, 0)
 	co.addStats(stats)
 	if dst == nil {
+		// The plain Search path: one exactly-sized result allocation.
 		dst = make([]Neighbor, 0, len(rb.buf))
 	}
 	dst = appendNeighbors(dst[:0], rb.buf)

@@ -97,13 +97,8 @@ type plannerSource struct {
 
 // plannerFacade is a facade under test plus what the oracle needs.
 type plannerFacade struct {
-	name string
-	s    interface {
-		CostSearcher
-		CursorSearcher
-		FilterSearcher
-		Searcher
-	}
+	name    string
+	s       Searcher
 	sources []plannerSource
 	// cursorLambda maps a request budget to each shard source's cursor
 	// budget (⌈λ/S⌉ on a ShardedIndex, λ elsewhere).
@@ -244,9 +239,9 @@ func shardPlans(nodes []SpanNode, plans []string, postingSum int64) ([]string, i
 	return plans, postingSum
 }
 
-// checkOneShot runs one filtered query through SearchCostInto (traced,
-// metered) and SearchFilterBudgetInto and holds the result to the
-// oracle the chosen plans call for.
+// checkOneShot runs one filtered query through SearchCostInto, traced
+// and metered and then bare, and holds the result to the oracle the
+// chosen plans call for.
 func checkOneShot(t *testing.T, fac *plannerFacade, o *plannerOracle, q []float32, k, lambda int, fname string, f *Filter) {
 	t.Helper()
 	label := fmt.Sprintf("%s/%s/λ=%d", fac.name, fname, lambda)
@@ -261,9 +256,9 @@ func checkOneShot(t *testing.T, fac *plannerFacade, o *plannerOracle, q []float3
 	if len(plans) != len(fac.shards()) {
 		t.Fatalf("%s: %d shard_scan spans for %d shards", label, len(plans), len(fac.shards()))
 	}
-	again, err := fac.s.SearchFilterBudgetInto(q, k, lambda, f, nil)
+	again, err := fac.s.SearchCostInto(q, k, lambda, f, nil, nil, nil)
 	if err != nil || !neighborsEqual(again, got) {
-		t.Fatalf("%s: SearchFilterBudgetInto %v (err %v) differs from SearchCostInto %v", label, again, err, got)
+		t.Fatalf("%s: bare SearchCostInto %v (err %v) differs from the traced, metered one %v", label, again, err, got)
 	}
 	var ref []Neighbor
 	var refCo Cost
@@ -620,7 +615,7 @@ func TestFilteredSearchDuringDeltaBuilds(t *testing.T) {
 					return
 				default:
 				}
-				if dst, err = dyn.SearchFilterBudgetInto(data[(i*7+r)%n], 10, 1+i%50, f, dst); err != nil {
+				if dst, err = dyn.SearchCostInto(data[(i*7+r)%n], 10, 1+i%50, f, dst, nil, nil); err != nil {
 					errs <- err
 					return
 				}

@@ -2,8 +2,11 @@ package lccs
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -149,6 +152,10 @@ func TestFacadeValidationConformance(t *testing.T) {
 	facades := searcherFixtures(t, data, cfg)
 
 	valid := data[0]
+	withNaN := append([]float32(nil), valid...)
+	withNaN[3] = float32(math.NaN())
+	withInf := append([]float32(nil), valid...)
+	withInf[0] = float32(math.Inf(1))
 	cases := []struct {
 		name    string
 		q       []float32
@@ -162,6 +169,8 @@ func TestFacadeValidationConformance(t *testing.T) {
 		{"nil query", nil, 5, 50, ErrEmptyQuery},
 		{"empty query", []float32{}, 5, 50, ErrEmptyQuery},
 		{"dim mismatch", []float32{1, 2, 3}, 5, 50, ErrDimensionMismatch},
+		{"NaN component", withNaN, 5, 50, ErrNonFiniteQuery},
+		{"+Inf component", withInf, 5, 50, ErrNonFiniteQuery},
 	}
 	for name, s := range facades {
 		for _, c := range cases {
@@ -179,6 +188,13 @@ func TestFacadeValidationConformance(t *testing.T) {
 		if _, err := s.SearchBatchBudget([][]float32{}, 5, -1); !errors.Is(err, ErrInvalidBudget) {
 			t.Errorf("%s/SearchBatchBudget empty lambda<0: err=%v, want ErrInvalidBudget", name, err)
 		}
+		// The search body and the cursor path hold the same contract.
+		if _, err := s.SearchCostInto(withNaN, 5, 0, nil, nil, nil, nil); !errors.Is(err, ErrNonFiniteQuery) {
+			t.Errorf("%s/SearchCostInto NaN component: err=%v, want ErrNonFiniteQuery", name, err)
+		}
+		if _, _, err := s.SearchCursor(withInf, 5, 0, nil, ""); !errors.Is(err, ErrNonFiniteQuery) {
+			t.Errorf("%s/SearchCursor +Inf component: err=%v, want ErrNonFiniteQuery", name, err)
+		}
 		// Search (default budget) applies the same k/query checks.
 		if _, err := s.Search(valid, 0); !errors.Is(err, ErrInvalidK) {
 			t.Errorf("%s/Search k=0: err=%v, want ErrInvalidK", name, err)
@@ -189,6 +205,26 @@ func TestFacadeValidationConformance(t *testing.T) {
 		// Valid input still succeeds after all that.
 		if res := must(s.Search(valid, 3)); len(res) != 3 {
 			t.Errorf("%s: valid search returned %d results", name, len(res))
+		}
+	}
+}
+
+// TestSearchMethodSet guards the one query path: every facade's
+// exported Search* methods are exactly the Searcher set, all thin
+// callers of SearchCostInto, so per-feature search variants cannot
+// grow back unnoticed.
+func TestSearchMethodSet(t *testing.T) {
+	want := []string{"Search", "SearchBatch", "SearchBatchBudget", "SearchBudget", "SearchCostInto", "SearchCursor"}
+	for _, v := range []any{(*Index)(nil), (*ShardedIndex)(nil), (*DynamicIndex)(nil), (*DurableIndex)(nil)} {
+		typ := reflect.TypeOf(v)
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Search") {
+				got = append(got, name)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v Search methods = %v, want %v", typ, got, want)
 		}
 	}
 }

@@ -36,8 +36,8 @@ import (
 // mixed workloads (the default), 1 for tiny datasets.
 //
 // A ShardedIndex is safe for concurrent queries; per-query scratch (the
-// per-shard result lists and the tournament merge) is pooled, so the
-// sequential SearchInto path allocates nothing at steady state.
+// per-shard result lists and the tournament merge) is pooled, so
+// SearchCostInto with a reused dst allocates nothing at steady state.
 type ShardedIndex struct {
 	cfg    Config
 	store  *vec.Store
@@ -71,9 +71,9 @@ type ShardedIndex struct {
 }
 
 // shardCtx is the pooled per-query scratch of a shard fan-out: one
-// reusable result buffer per shard, a per-shard stats slot for metered
-// queries (written by each scan, summed after the fan-out joins — no
-// atomics), and the merge tree.
+// reusable result buffer per shard, a per-shard stats slot (written by
+// each scan, summed after the fan-out joins — no atomics), and the
+// merge tree.
 type shardCtx struct {
 	lists [][]pqueue.Neighbor
 	stats []core.SearchStats
@@ -176,40 +176,27 @@ func (sx *ShardedIndex) Search(q []float32, k int) ([]Neighbor, error) {
 // SearchBudget is Search with an explicit candidate budget λ. The budget
 // is divided across shards (⌈λ/S⌉ each), so each shard verifies
 // ⌈λ/S⌉+k−1 candidates and the total verification work is ≈ λ+S·(k−1).
+// The shards are searched concurrently when more than one CPU is
+// available.
 func (sx *ShardedIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
-	return sx.searchBudgetInto(q, k, lambda, true, nil, nil)
+	if err := validateBudget(k, lambda); err != nil {
+		return nil, err
+	}
+	return sx.searchCostInto(q, k, lambda, true, nil, nil, nil, nil)
 }
 
-// SearchInto is Search appending into dst (reset to dst[:0] first): the
-// zero-allocation steady-state path. The shard fan-out runs sequentially
-// here — it is meant for callers that already provide their own
-// concurrency (batch workers, server handlers); the merge is
-// deterministic, so results are identical to Search either way.
-func (sx *ShardedIndex) SearchInto(q []float32, k int, dst []Neighbor) ([]Neighbor, error) {
-	return sx.searchBudgetInto(q, k, sx.budget, false, dst, nil)
-}
-
-// SearchBudgetInto is SearchBudget appending into dst; like SearchInto
-// it runs the fan-out sequentially.
-func (sx *ShardedIndex) SearchBudgetInto(q []float32, k, lambda int, dst []Neighbor) ([]Neighbor, error) {
-	return sx.searchBudgetInto(q, k, lambda, false, dst, nil)
-}
-
-// SearchBudgetIntoTraced is SearchBudgetInto recording spans into tr:
-// one shard_scan span per shard (with CSA comparison and verified-
-// candidate counters) plus a tournament-merge span, all under a query
-// root span. A nil tr is exactly SearchBudgetInto; a non-positive
-// lambda selects the default budget.
-func (sx *ShardedIndex) SearchBudgetIntoTraced(q []float32, k, lambda int, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return sx.SearchCostInto(q, k, lambda, nil, dst, nil, tr)
-}
-
-// SearchCostInto is the unified metered query path: filtered when f is
-// non-empty, cost-accounted when co is non-nil, span-traced when tr is
-// non-nil, and exactly SearchBudgetInto when all three are nil. The
-// shard fan-out runs sequentially (callers on this path — server
-// handlers, batch workers — provide their own concurrency); a
-// non-positive lambda selects the default budget.
+// SearchCostInto is the sharded index's one search body (see
+// CostSearcher). The shard fan-out runs sequentially: callers on this
+// path — server handlers, batch workers — provide their own
+// concurrency, and the merge is deterministic, so results equal
+// SearchBudget's. A traced query records one shard_scan span per shard
+// (with the CSA comparison, verified-candidate, and bytes-scanned
+// counters, and the filter plan when filtered) plus a tournament-merge
+// span, under a query root span. Each shard of a filtered query either
+// gathers its posting list exactly or drains its candidate stream past
+// non-matching (or tombstoned) rows before any distance work (see
+// Filter), so the per-shard lists the tournament merges hold only live
+// matching rows.
 func (sx *ShardedIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
 	if lambda <= 0 {
 		lambda = sx.budget
@@ -217,38 +204,22 @@ func (sx *ShardedIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, ds
 	return sx.searchCostInto(q, k, lambda, false, f, dst, co, tr)
 }
 
-// searchBudgetInto is the pre-metering entry point kept for the batch
-// engine: fan-out/merge with or without per-shard goroutines. The
-// result is identical either way (deterministic merge), so batch
-// callers whose worker pool already saturates the CPUs skip the nested
-// parallelism.
-func (sx *ShardedIndex) searchBudgetInto(q []float32, k, lambda int, parallel bool, dst []Neighbor, tr *Trace) ([]Neighbor, error) {
-	return sx.searchCostInto(q, k, lambda, parallel, nil, dst, nil, tr)
-}
-
-// searchCostInto runs the fan-out/merge with every orthogonal query
-// feature — filter, cost accounting, span tracing, optional per-shard
-// goroutines. Results are appended to dst (reset to dst[:0] first; dst
-// may be nil). Per-shard stats land in pooled slots and are summed
-// after the fan-out joins, so the parallel path needs no atomics and
-// the sequential unmetered path allocates nothing.
+// searchCostInto is the fan-out/merge behind SearchCostInto, with the
+// shard scans optionally on per-shard goroutines. Results are appended
+// to dst (reset to dst[:0] first; dst may be nil). Per-shard stats land
+// in pooled slots and are summed after the fan-out joins, so the
+// parallel path needs no atomics and the sequential path allocates
+// nothing.
 func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
-	filtered := !f.Empty()
-	if filtered {
-		if err := validateFilter(f); err != nil {
-			return nil, err
-		}
+	if err := validateFilter(f); err != nil {
+		return nil, err
 	}
 	if err := validateQuery(q, sx.dim, k, lambda); err != nil {
 		return nil, err
 	}
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
 	ctx := sx.ctxs.Get().(*shardCtx)
-	stats := ctx.stats
-	if co == nil {
-		stats = nil
-	}
-	sx.searchShards(q, k, lambda, parallel, f, ctx.lists, stats, tr, root)
+	sx.searchShards(q, k, lambda, parallel, f, ctx, tr, root)
 	mergeSpan := tr.StartSpan(obs.StageMerge, root)
 	ctx.t.Reset(ctx.lists)
 	if dst == nil {
@@ -266,7 +237,7 @@ func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool
 		// live results still come through); ids leave in the stable
 		// external space. Both are no-ops on fresh builds, and a
 		// filtered scan already rejected dead rows in-stream.
-		if !filtered && sx.dead != nil && sx.dead[nb.ID] {
+		if sx.dead[nb.ID] {
 			continue
 		}
 		dst = append(dst, Neighbor{ID: sx.ids.Ext(nb.ID), Dist: nb.Dist})
@@ -285,16 +256,16 @@ func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool
 }
 
 // searchShards fans the query out across all shards — concurrently when
-// asked and more than one CPU is available — filling lists with the
-// per-shard top-k (global ids, ascending by distance). The per-shard
-// buffers are reused across queries; stats, when non-nil, receives one
-// slot per shard.
-func (sx *ShardedIndex) searchShards(q []float32, k, lambda int, parallel bool, f *Filter, lists [][]pqueue.Neighbor, stats []core.SearchStats, tr *Trace, parent int) {
+// asked and more than one CPU is available — filling ctx.lists with the
+// per-shard top-k (global ids, ascending by distance) and ctx.stats
+// with each shard's work counters. The per-shard buffers are reused
+// across queries.
+func (sx *ShardedIndex) searchShards(q []float32, k, lambda int, parallel bool, f *Filter, ctx *shardCtx, tr *Trace, parent int) {
 	s := len(sx.shards)
 	lambdaShard := (lambda + s - 1) / s
 	if !parallel || s == 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i := range sx.shards {
-			sx.scanOne(i, q, k, lambdaShard, f, lists, stats, tr, parent)
+			sx.scanShard(i, q, k, lambdaShard, f, ctx, tr, parent)
 		}
 		return
 	}
@@ -303,50 +274,23 @@ func (sx *ShardedIndex) searchShards(q []float32, k, lambda int, parallel bool, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sx.scanOne(i, q, k, lambdaShard, f, lists, stats, tr, parent)
+			sx.scanShard(i, q, k, lambdaShard, f, ctx, tr, parent)
 		}(i)
 	}
 	wg.Wait()
 }
 
-// scanOne prepares shard i's stats slot and runs its scan.
-func (sx *ShardedIndex) scanOne(i int, q []float32, k, lambdaShard int, f *Filter, lists [][]pqueue.Neighbor, stats []core.SearchStats, tr *Trace, parent int) {
-	var st *core.SearchStats
-	if stats != nil {
-		st = &stats[i]
+// scanShard runs shard i's scan into its ctx slots. A filtered scan
+// fetches k (its predicate already rejects tombstones); an unfiltered
+// one over-fetches by the shard's tombstone count.
+func (sx *ShardedIndex) scanShard(i int, q []float32, k, lambdaShard int, f *Filter, ctx *shardCtx, tr *Trace, parent int) {
+	off := sx.offsets[i]
+	var accept func(int) bool
+	fetch := sx.shardFetch(i, k)
+	if !f.Empty() {
+		accept, fetch = sx.acceptFunc(f, off), k
 	}
-	lists[i] = sx.scanShard(sx.shards[i], q, i, k, lambdaShard, f, lists[i], st, tr, parent)
-}
-
-// scanShard runs one shard's scan, recording a per-shard span with
-// rows-compared, candidates-verified, and bytes-scanned counters (and,
-// when filtered, the planner's choice) when traced, and the shard's
-// stats into st when metered. The untraced unmetered unfiltered call is
-// the original stats-free route, so it stays on the zero-allocation
-// path. A filtered scan fetches k (its predicate already rejects
-// tombstones); an unfiltered one over-fetches by the shard's tombstone
-// count.
-func (sx *ShardedIndex) scanShard(shard *Index, q []float32, i, k, lambdaShard int, f *Filter, dst []pqueue.Neighbor, st *core.SearchStats, tr *Trace, parent int) []pqueue.Neighbor {
-	filtered := !f.Empty()
-	if !filtered && st == nil && tr == nil {
-		return shard.searchOffsetInto(q, sx.shardFetch(i, k), lambdaShard, sx.offsets[i], dst)
-	}
-	sp := tr.StartShardSpan(obs.StageShardScan, parent, i)
-	var stats core.SearchStats
-	if filtered {
-		var plan filterPlan
-		dst, stats, plan = shard.searchFilterOffsetIntoStats(q, k, lambdaShard, sx.offsets[i], f, sx.acceptFunc(f, sx.offsets[i]), dst)
-		plan.record(tr, sp)
-	} else {
-		dst, stats = shard.searchOffsetIntoStats(q, sx.shardFetch(i, k), lambdaShard, sx.offsets[i], dst)
-	}
-	if tr != nil {
-		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
-	}
-	if st != nil {
-		*st = stats
-	}
-	return dst
+	ctx.lists[i], ctx.stats[i] = sx.shards[i].scan(q, fetch, lambdaShard, off, f, accept, ctx.lists[i], tr, parent, i)
 }
 
 // shardFetch returns the tombstone-aware fetch for shard s.
@@ -368,25 +312,6 @@ func fetchForShard(k, dead, shardLen int) int {
 		fetch = shardLen
 	}
 	return fetch
-}
-
-// searchOffsetInto routes a shard-local query to the core index (single-
-// or multi-probe), appending into dst (reset to dst[:0] first) with
-// result ids shifted to the global id space.
-func (ix *Index) searchOffsetInto(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) []pqueue.Neighbor {
-	if ix.multi != nil {
-		return ix.multi.SearchOffsetInto(q, k, lambda, offset, dst)
-	}
-	return ix.single.SearchOffsetInto(q, k, lambda, offset, dst)
-}
-
-// searchOffsetIntoStats is searchOffsetInto returning work counters,
-// for per-shard span recording on traced queries.
-func (ix *Index) searchOffsetIntoStats(q []float32, k, lambda, offset int, dst []pqueue.Neighbor) ([]pqueue.Neighbor, core.SearchStats) {
-	if ix.multi != nil {
-		return ix.multi.SearchOffsetIntoStats(q, k, lambda, offset, dst)
-	}
-	return ix.single.SearchOffsetIntoStats(q, k, lambda, offset, dst)
 }
 
 // filterPlan is the filter planner's choice for one shard scan, kept
@@ -424,8 +349,25 @@ func usePostings(p, nCand, n int) bool {
 	return int64(p)*int64(p) <= int64(nCand)*int64(n)
 }
 
+// scan is searchFilterOffsetIntoStats under a traced shard_scan span
+// (child of parent, labeled with shard) carrying the scan's CSA
+// comparison, verified-candidate, and bytes-scanned counters, and the
+// planner's choice when the scan is filtered. It is the one-shot scan
+// of every facade; a nil tr records nothing.
+func (ix *Index) scan(q []float32, k, lambda, offset int, f *Filter, accept func(int) bool, dst []pqueue.Neighbor, tr *Trace, parent, shard int) ([]pqueue.Neighbor, core.SearchStats) {
+	sp := tr.StartShardSpan(obs.StageShardScan, parent, shard)
+	dst, stats, plan := ix.searchFilterOffsetIntoStats(q, k, lambda, offset, f, accept, dst)
+	if tr != nil {
+		if accept != nil {
+			plan.record(tr, sp)
+		}
+		obs.ObserveDur(obs.StageShardScan, tr.FinishSpanCost(sp, int64(stats.Comparisons), int64(stats.Candidates), stats.BytesScanned))
+	}
+	return dst, stats
+}
+
 // searchFilterOffsetIntoStats is the filter planner: the one per-shard
-// filtered scan every facade (one-shot, metered, traced, cursor) funnels
+// scan every facade (one-shot, metered, traced, cursor) funnels
 // through. accept is the full predicate — liveness and every filter
 // term — over shard-local ids; f supplies the equality terms. When the
 // shard has postings and the filter's shortest equality posting list P
@@ -449,9 +391,9 @@ func (ix *Index) searchFilterOffsetIntoStats(q []float32, k, lambda, offset int,
 	}
 	var stats core.SearchStats
 	if ix.multi != nil {
-		dst, stats = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+		dst, stats = ix.multi.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst)
 	} else {
-		dst, stats = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst[:0])
+		dst, stats = ix.single.SearchFilterOffsetIntoStats(q, k, lambda, offset, accept, dst)
 	}
 	return dst, stats, plan
 }
@@ -509,27 +451,16 @@ func (sx *ShardedIndex) slotFor(id int) (int, bool) {
 	return slot, true
 }
 
-// SearchFilter returns the k nearest neighbors among vectors matching f
-// under the default candidate budget.
-func (sx *ShardedIndex) SearchFilter(q []float32, k int, f *Filter) ([]Neighbor, error) {
-	return sx.SearchFilterBudgetInto(q, k, sx.budget, f, nil)
-}
-
-// SearchFilterBudgetInto is SearchFilter with an explicit budget λ,
-// appending into dst. Each shard either gathers its posting list
-// exactly or drains its candidate stream past non-matching (or
-// tombstoned) rows before any distance work (see Filter), so the
-// per-shard lists the tournament merges hold only live matching rows.
-func (sx *ShardedIndex) SearchFilterBudgetInto(q []float32, k, lambda int, f *Filter, dst []Neighbor) ([]Neighbor, error) {
-	return sx.searchCostInto(q, k, lambda, false, f, dst, nil, nil)
-}
-
-// acceptFunc builds the per-shard candidate predicate of a filtered
-// query: live (not tombstoned) and matching the filter. local ids are
+// acceptFunc builds the per-shard candidate predicate of a filtered or
+// cursor query: live (not tombstoned) and matching the filter; nil when
+// neither tombstones nor filter terms exclude anything. local ids are
 // shard-local; off is the shard's global offset.
 func (sx *ShardedIndex) acceptFunc(f *Filter, off int) func(int) bool {
 	attrs, dead := sx.attrs, sx.dead
 	if dead == nil {
+		if f.Empty() {
+			return nil
+		}
 		return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
 	}
 	return func(local int) bool {

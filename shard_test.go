@@ -304,8 +304,8 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 // TestShardFilteredSearchStandalone is the regression test for Shard(s)
 // returning an Index whose filtered search matched no row (the
 // attributes used to live only on the ShardedIndex): each shard's
-// SearchFilter at λ ≥ n must equal brute force over that shard's own
-// matching rows, in shard-local ids.
+// filtered SearchCostInto at λ ≥ n must equal brute force over that
+// shard's own matching rows, in shard-local ids.
 func TestShardFilteredSearchStandalone(t *testing.T) {
 	const n, dim, k = 240, 8, 10
 	data, attrs := filterTestData(n, dim)
@@ -318,7 +318,7 @@ func TestShardFilteredSearchStandalone(t *testing.T) {
 		rows, rowAttrs := data[off:off+shard.Len()], attrs[off:off+shard.Len()]
 		for fname, f := range testFilters() {
 			want := bruteFilter(rows, rowAttrs, nil, data[5], k, f, shard.Distance)
-			got, err := shard.SearchFilterBudgetInto(data[5], k, n, f, nil)
+			got, err := shard.SearchCostInto(data[5], k, n, f, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("shard %d/%s: %v", s, fname, err)
 			}

@@ -56,7 +56,7 @@ func TestShardedSearchTraced(t *testing.T) {
 	}
 	tr := obs.GetTrace(1)
 	defer obs.PutTrace(tr)
-	traced, err := sx.SearchBudgetIntoTraced(q, 5, 40, nil, tr)
+	traced, err := sx.SearchCostInto(q, 5, 40, nil, nil, nil, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDynamicSearchTracedBufferScan(t *testing.T) {
 	}
 	tr := obs.GetTrace(2)
 	defer obs.PutTrace(tr)
-	if _, err := d.SearchBudgetIntoTraced(data[0], 5, 0, nil, tr); err != nil {
+	if _, err := d.SearchCostInto(data[0], 5, 0, nil, nil, nil, tr); err != nil {
 		t.Fatal(err)
 	}
 	tree := tr.Tree()
