@@ -230,12 +230,32 @@ func TestSearchZeroAllocCosted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A DynamicIndex mid-lifecycle: uneven shards, a buffer, and
+	// tombstones in both.
+	churn, err := NewDynamicIndex(data[:1500], Config{Metric: Euclidean, M: 16, Seed: 3}, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range data[1500:] {
+		if _, err := churn.Add(v); err != nil {
+			t.Fatal(err)
+		}
+		if i == 299 {
+			churn.WaitRebuild()
+		}
+	}
+	for _, id := range []int{4, 700, 1600, 1900, 1999} {
+		churn.Delete(id)
+	}
+	if churn.Shards() != 2 || churn.Buffered() != 200 {
+		t.Fatalf("churn fixture: %d shards, %d buffered", churn.Shards(), churn.Buffered())
+	}
 
 	var co Cost
 	for _, tc := range []struct {
 		name string
 		cs   CostSearcher
-	}{{"Index", ix}, {"ShardedIndex", sx}, {"DynamicIndex", dx}} {
+	}{{"Index", ix}, {"ShardedIndex", sx}, {"DynamicIndex", dx}, {"DynamicIndex/churn", churn}} {
 		// Warm the pooled scratch through the metered call itself.
 		var dst []Neighbor
 		for round := 0; round < 3; round++ {

@@ -80,7 +80,7 @@ func batchResult(out [][]Neighbor, errs []error) ([][]Neighbor, error) {
 // index's default candidate budget; results are returned in query order.
 // Each query's result slice matches what Search would return.
 func (ix *Index) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return ix.SearchBatchBudget(queries, k, ix.budget)
+	return ix.SearchBatchBudget(queries, k, ix.cfg.Budget)
 }
 
 // SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
@@ -96,7 +96,7 @@ func (ix *Index) SearchBatchBudget(queries [][]float32, k, lambda int) ([][]Neig
 // CPUs, so each query runs its shard fan-out sequentially; smaller
 // batches keep the per-shard fan-out so idle cores still help.
 func (sx *ShardedIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return sx.SearchBatchBudget(queries, k, sx.budget)
+	return sx.SearchBatchBudget(queries, k, sx.cfg.Budget)
 }
 
 // SearchBatchBudget is SearchBatch with an explicit candidate budget λ.
@@ -112,7 +112,10 @@ func (sx *ShardedIndex) SearchBatchBudget(queries [][]float32, k, lambda int) ([
 // SearchBatch answers many queries concurrently under the default
 // candidate budget; results are returned in query order.
 func (d *DynamicIndex) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	return d.SearchBatchBudget(queries, k, d.defaultBudget())
+	d.mu.RLock()
+	lambda := d.cfg.Budget
+	d.mu.RUnlock()
+	return d.SearchBatchBudget(queries, k, lambda)
 }
 
 // SearchBatchBudget is SearchBatch with an explicit candidate budget λ.

@@ -167,15 +167,6 @@ func cursorResume(cursor string, q []float32, lambda int, f *Filter, gen uint64,
 	return t, nil
 }
 
-// validateCursorQuery applies the page-size and query contract shared
-// by every SearchCursor implementation.
-func validateCursorQuery(q []float32, dim, limit, lambda int) error {
-	if limit <= 0 {
-		return ErrInvalidK
-	}
-	return validateQuery(q, dim, limit, lambda)
-}
-
 // mergeCursorPage pops up to limit results from the per-source sorted
 // lists, starting at pos t.offs[i] in list i, advancing offsets in
 // place. It merges by (Dist, ID) — identical to the tournament's
@@ -222,103 +213,53 @@ func mergeCursorPage(lists [][]pqueue.Neighbor, requested []int, t *cursorToken,
 }
 
 // SearchCursor pages through the ranked results of a (optionally
-// filtered) scan of a static Index. See Searcher.
+// filtered) scan of a static Index — a one-shard set. See Searcher.
 func (ix *Index) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
 	if lambda <= 0 {
-		lambda = ix.budget
+		lambda = ix.cfg.Budget
 	}
-	if err := validateCursorQuery(q, ix.dim, limit, lambda); err != nil {
-		return nil, "", err
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, "", err
-	}
-	start := time.Now()
-	t, err := cursorResume(cursor, q, lambda, f, 0, 1)
-	if err != nil {
-		return nil, "", err
-	}
-	if cursor != "" {
-		lambda = t.lambda
-		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
-	}
-	need := t.offs[0] + limit
-	rb := ix.getRaw()
-	kFetch, lamEff := cursorFetch(need, lambda)
-	rb.buf, _, _ = ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, 0, f, ix.acceptFunc(f), rb.buf)
-	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage([][]pqueue.Neighbor{rb.buf}, []int{need}, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: nb.ID, Dist: nb.Dist})
-	})
-	ix.raw.Put(rb)
-	next := ""
-	if !exhausted {
-		next = encodeCursor(t)
-	}
-	return page, next, nil
+	ss := shardSet{shards: []*Index{ix}, offsets: []int{0, ix.Len()}, attrs: ix.attrs}
+	return ss.cursor(q, ix.dim, limit, lambda, f, cursor, 0, buffer{})
 }
 
 // SearchCursor pages through the ranked, merged results of a sharded
 // scan. See Searcher.
 func (sx *ShardedIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
 	if lambda <= 0 {
-		lambda = sx.budget
+		lambda = sx.cfg.Budget
 	}
-	if err := validateCursorQuery(q, sx.dim, limit, lambda); err != nil {
-		return nil, "", err
-	}
-	if err := validateFilter(f); err != nil {
-		return nil, "", err
-	}
-	start := time.Now()
-	s := len(sx.shards)
-	t, err := cursorResume(cursor, q, lambda, f, 0, s)
-	if err != nil {
-		return nil, "", err
-	}
-	if cursor != "" {
-		lambda = t.lambda
-		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
-	}
-	lambdaShard := (lambda + s - 1) / s
-	lists := make([][]pqueue.Neighbor, s)
-	requested := make([]int, s)
-	for i, shard := range sx.shards {
-		off := sx.offsets[i]
-		requested[i] = t.offs[i] + limit
-		accept := sx.acceptFunc(f, off)
-		kFetch, lamEff := cursorFetch(requested[i], lambdaShard)
-		lists[i], _, _ = shard.searchFilterOffsetIntoStats(q, kFetch, lamEff, off, f, accept, nil)
-	}
-	page := make([]Neighbor, 0, limit)
-	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: sx.ids.Ext(nb.ID), Dist: nb.Dist})
-	})
-	next := ""
-	if !exhausted {
-		next = encodeCursor(t)
-	}
-	return page, next, nil
+	return sx.cursor(q, sx.dim, limit, lambda, f, cursor, 0, buffer{})
 }
 
 // SearchCursor pages through the ranked results of a dynamic scan:
 // sources are the immutable shards plus the delta buffer. Tokens are
 // invalidated by any write. See Searcher.
 func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, cursor string) ([]Neighbor, string, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if lambda <= 0 {
-		lambda = d.defaultBudget()
+		lambda = d.cfg.Budget
+	}
+	return d.main.cursor(q, d.store.Dim(), limit, lambda, f, cursor, d.writes, d.bufferLocked())
+}
+
+// cursor is the one SearchCursor body: it pages through the merged
+// ranked stream of the set's shards — each at its share of λ — and of
+// the buffer, when there is one. gen is the write generation tokens are
+// checked against (0 on immutable facades).
+func (ss *shardSet) cursor(q []float32, dim, limit, lambda int, f *Filter, cursor string, gen uint64, buf buffer) ([]Neighbor, string, error) {
+	if err := validateQuery(q, dim, limit, lambda); err != nil {
+		return nil, "", err
 	}
 	if err := validateFilter(f); err != nil {
 		return nil, "", err
 	}
 	start := time.Now()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := validateCursorQuery(q, d.store.Dim(), limit, lambda); err != nil {
-		return nil, "", err
+	nsrc := len(ss.shards)
+	if buf.store != nil {
+		nsrc++
 	}
-	nsrc := len(d.shards) + 1 // + the delta buffer
-	t, err := cursorResume(cursor, q, lambda, f, d.writes, nsrc)
+	t, err := cursorResume(cursor, q, lambda, f, gen, nsrc)
 	if err != nil {
 		return nil, "", err
 	}
@@ -326,35 +267,26 @@ func (d *DynamicIndex) SearchCursor(q []float32, limit, lambda int, f *Filter, c
 		lambda = t.lambda
 		defer func() { obs.ObserveDur(obs.StageCursorResume, time.Since(start)) }()
 	}
-	// Each shard source gets the full budget rather than a ⌈λ/S⌉ split:
-	// dynamic shards are uneven (each background build freezes whatever
-	// the buffer held), so a split budget could under-verify the largest
-	// shard and break the λ ≥ n exactness guarantee.
 	lists := make([][]pqueue.Neighbor, nsrc)
 	requested := make([]int, nsrc)
-	for i, sh := range d.shards {
+	for i := range requested {
 		requested[i] = t.offs[i] + limit
-		kFetch, lamEff := cursorFetch(requested[i], lambda)
-		lists[i], _, _ = sh.ix.searchFilterOffsetIntoStats(q, kFetch, lamEff, sh.off, f, d.acceptLocked(f, sh.off), nil)
 	}
-	// The delta buffer is one exact-scan source: collect its top
-	// (consumed + limit) eligible rows. It is always fully enumerated,
-	// so "requested" never truncates it.
-	bi := nsrc - 1
-	requested[bi] = t.offs[bi] + limit
-	if d.store.Len() > d.indexed {
+	for i, shard := range ss.shards {
+		off := ss.offsets[i]
+		kFetch, lamEff := cursorFetch(requested[i], ss.shardBudget(i, lambda))
+		lists[i], _, _ = shard.searchFilterOffsetIntoStats(q, kFetch, lamEff, off, f, ss.acceptFunc(f, off), nil)
+	}
+	if buf.store != nil {
+		// The buffer is one exact-scan source, always fully enumerated,
+		// so "requested" never truncates it.
 		var best pqueue.KBest
-		best.Reset(requested[bi])
-		d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-			if !d.deleted[slot] && f.Matches(d.attrs.Row(slot)) {
-				best.Add(slot, dist)
-			}
-		})
-		lists[bi] = best.AppendSorted(nil)
+		best.Reset(requested[nsrc-1])
+		lists[nsrc-1], _ = ss.scanBuffer(buf, q, f, &best, nil, nil, -1)
 	}
 	page := make([]Neighbor, 0, limit)
 	exhausted := mergeCursorPage(lists, requested, &t, limit, func(nb pqueue.Neighbor) {
-		page = append(page, Neighbor{ID: d.ids.Ext(nb.ID), Dist: nb.Dist})
+		page = append(page, Neighbor{ID: ss.ids.Ext(nb.ID), Dist: nb.Dist})
 	})
 	next := ""
 	if !exhausted {

@@ -294,7 +294,10 @@ func OpenDurable(dir string, dc DurableConfig) (*DurableIndex, error) {
 				}
 				attrs = a
 			}
-			id, aerr := dyn.AddWithAttrs(rec.Vec, attrs)
+			// Rows already journaled are applied as they were acknowledged:
+			// the finiteness check guards new writes, and a log written
+			// before it existed must still recover.
+			id, aerr := dyn.add(rec.Vec, attrs)
 			if aerr != nil && isValidationError(aerr) {
 				// The vector was rejected: the log disagrees with the
 				// snapshot it claims to extend.
@@ -383,7 +386,7 @@ func (di *DurableIndex) removeOrphans(man *wal.Manifest) error {
 // vector was rejected (as opposed to a deferred background-build
 // failure delivered alongside a successful insert).
 func isValidationError(err error) bool {
-	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch)
+	return errors.Is(err, ErrEmptyVector) || errors.Is(err, ErrDimensionMismatch) || errors.Is(err, ErrNonFiniteVector)
 }
 
 // Add inserts a vector and blocks until the insert is durable under

@@ -3,6 +3,7 @@ package lccs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -291,6 +292,51 @@ func TestDurableAddBatch(t *testing.T) {
 	}
 	if ids := searchIDs(t, di2, data[128], 1); !ids[128] {
 		t.Fatal("prefix insert of failed batch lost")
+	}
+}
+
+// TestDurableRejectsNonFiniteVectors: a non-finite vector is a
+// validation error on every durable write path — nothing is applied or
+// journaled (the WAL does not grow) — while a row with a NaN component
+// that is already journaled still replays, so logs written before the
+// check keep recovering.
+func TestDurableRejectsNonFiniteVectors(t *testing.T) {
+	dir := t.TempDir()
+	data, _ := testData(76, 10, 8, 2, 0.5)
+	di := mustOpenDurable(t, dir)
+	if _, err := di.AddBatch(data); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]float32(nil), data[0]...)
+	bad[2] = float32(math.NaN())
+	walBytes := di.WALStats().AppendedBytes
+	if _, err := di.Add(bad); !errors.Is(err, ErrNonFiniteVector) {
+		t.Fatalf("Add: err=%v, want ErrNonFiniteVector", err)
+	}
+	if ids, err := di.AddBatch([][]float32{bad}); !errors.Is(err, ErrNonFiniteVector) || len(ids) != 0 {
+		t.Fatalf("AddBatch: ids %v err=%v, want none and ErrNonFiniteVector", ids, err)
+	}
+	if got := di.WALStats().AppendedBytes; got != walBytes {
+		t.Fatalf("rejected writes grew the WAL: %d → %d bytes", walBytes, got)
+	}
+	if di.Len() != len(data) {
+		t.Fatalf("Len %d after rejected writes, want %d", di.Len(), len(data))
+	}
+
+	// A row journaled before the check existed: append its record
+	// directly, as an older build would have, then crash and recover.
+	lsn, err := di.log.Append(insertRecord(len(data), bad, nil))
+	if err == nil {
+		err = di.log.WaitDurable(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(di)
+	di2 := mustOpenDurable(t, dir)
+	defer di2.Close()
+	if di2.Len() != len(data)+1 {
+		t.Fatalf("recovered %d vectors, want %d (the journaled row must replay)", di2.Len(), len(data)+1)
 	}
 }
 

@@ -3,14 +3,12 @@ package lccs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"lccs/internal/core"
 	"lccs/internal/idmap"
-	"lccs/internal/obs"
-	"lccs/internal/pqueue"
 	"lccs/internal/vec"
 )
 
@@ -73,14 +71,16 @@ type DynamicIndex struct {
 	// shards are seed-equivalent.
 	cfgResolved bool
 	store       *vec.Store // all live (plus not-yet-compacted) rows, slot-ordered
-	shards      []dynShard // immutable shards over slots [0, indexed)
-	indexed     int        // prefix of the store covered by shards
-	// ids maps stable external ids ⇔ dense store slots; compaction
-	// shifts slots, never ids.
-	ids *idmap.Map
-	// deleted is the tombstone set, keyed by store slot (the space the
-	// query path works in). Compaction removes reclaimed slots.
-	deleted map[int]bool
+	// main is the indexed part: immutable shards over the store prefix
+	// [0, main.rows()), everything past it being the unindexed buffer.
+	// Its lifecycle state spans the whole store: main.ids maps stable
+	// external ids ⇔ dense slots (compaction shifts slots, never ids;
+	// never nil here), main.dead is the tombstone set keyed by slot
+	// (compaction removes reclaimed slots), and main.attrs holds the
+	// optional per-vector metadata, slot-aligned with the store (rows
+	// beyond its length have none; nil until the first attributed
+	// insert).
+	main shardSet
 	// rebuildAt triggers a background shard build when the buffer
 	// reaches this size.
 	rebuildAt int
@@ -93,35 +93,11 @@ type DynamicIndex struct {
 	// surfaced (and cleared) by the next Add. A successful explicit
 	// Rebuild supersedes the failed delta and clears it unseen.
 	buildErr error
-	// attrs holds the optional per-vector metadata, slot-aligned with
-	// the store (rows beyond its length have none); nil until the first
-	// attributed insert.
-	attrs *vec.MetaStore
 	// writes is the write generation guarding open cursors: any change
 	// that could reorder or renumber the result stream — insert, delete,
 	// compaction, shard swap-in, rebuild — bumps it, and a cursor token
 	// minted under an older generation is rejected.
 	writes uint64
-	// ctxs pools the per-query scratch (shard fetch buffer, k-best row).
-	ctxs sync.Pool
-}
-
-// dynShard is one immutable index shard covering slots
-// [off, off+ix.Len()).
-type dynShard struct {
-	ix  *Index
-	off int
-	// dead counts tombstoned slots inside this shard's range, which is
-	// exactly how far the shard's fetch must over-shoot k to still yield
-	// k live candidates after filtering.
-	dead int
-}
-
-// dynCtx is the pooled per-query scratch of a dynamic search.
-type dynCtx struct {
-	shardBuf []pqueue.Neighbor
-	best     pqueue.KBest
-	sorted   []pqueue.Neighbor
 }
 
 // DefaultRebuildThreshold is the buffer size that triggers a background
@@ -158,15 +134,10 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 	if err != nil {
 		return nil, err
 	}
-	d := &DynamicIndex{
-		cfg:       cfg,
-		store:     store,
-		ids:       idmap.New(store.Len()),
-		deleted:   make(map[int]bool),
-		rebuildAt: rebuildAt,
-		writes:    nextCursorEpoch(),
-	}
-	d.ctxs.New = func() any { return new(dynCtx) }
+	d := &DynamicIndex{cfg: cfg, store: store, rebuildAt: rebuildAt, writes: nextCursorEpoch()}
+	d.main.offsets = []int{0}
+	d.main.ids = idmap.New(store.Len())
+	d.main.dead = make(map[int]bool)
 	d.cond = sync.NewCond(&d.mu)
 	if store.Len() > 0 {
 		ix, err := buildIndexOver(store.Slice(0, store.Len()), nil, cfg)
@@ -174,12 +145,17 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 			return nil, err
 		}
 		d.adoptConfigLocked(ix)
-		d.shards = []dynShard{{ix: ix, off: 0}}
-		d.indexed = store.Len()
-	} else if err := validateConfig(cfg); err != nil {
-		// No build runs yet on an empty start, so reject a config the
-		// first build (or query) would otherwise fail on — turning a
-		// construction-time error into a runtime surprise.
+		d.main.appendShard(ix, 0)
+		return d, nil
+	}
+	// No build runs yet on an empty start, so resolve the default budget
+	// here and reject a config the first build (or query) would
+	// otherwise fail on — turning a construction-time error into a
+	// runtime surprise.
+	if d.cfg.Budget == 0 {
+		d.cfg.Budget = defaultBudget
+	}
+	if err := validateConfig(d.cfg); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -194,7 +170,7 @@ func NewDynamicIndex(data [][]float32, cfg Config, rebuildAt int) (*DynamicIndex
 // sharded index's flat store rather than copying it. rebuildAt ≤ 0
 // selects DefaultRebuildThreshold.
 func NewDynamicIndexFromSharded(sx *ShardedIndex, data [][]float32, rebuildAt int) (*DynamicIndex, error) {
-	if slots := sx.slots(); slots != len(data) {
+	if slots := sx.rows(); slots != len(data) {
 		return nil, fmt.Errorf("lccs: sharded index covers %d vectors, data has %d", slots, len(data))
 	}
 	return NewDynamicIndexFromShardedStore(sx, rebuildAt)
@@ -206,7 +182,7 @@ func NewDynamicIndexFromSharded(sx *ShardedIndex, data [][]float32, rebuildAt in
 // flat-loaded dataset) never materializes per-row slices. rebuildAt ≤ 0
 // selects DefaultRebuildThreshold.
 func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicIndex, error) {
-	slots := sx.slots()
+	slots := sx.rows()
 	if rebuildAt <= 0 {
 		rebuildAt = DefaultRebuildThreshold
 	}
@@ -218,34 +194,18 @@ func NewDynamicIndexFromShardedStore(sx *ShardedIndex, rebuildAt int) (*DynamicI
 		// ShardedIndex (documented safe for concurrent queries) is
 		// never mutated, whichever constructor produced it.
 		store:     sx.store.Slice(0, slots),
-		shards:    make([]dynShard, len(sx.shards)),
-		indexed:   slots,
-		deleted:   make(map[int]bool, len(sx.dead)),
 		rebuildAt: rebuildAt,
 		writes:    nextCursorEpoch(),
 	}
-	// Adopt the sharded index's lifecycle state — the id map and the
-	// tombstones a PKG3 snapshot carries across a restart — so deleted
-	// ids stay dead and id allocation resumes past the watermark.
+	// Adopt the sharded index's set, lifecycle state included — the id
+	// map and the tombstones a PKG3 snapshot carries across a restart —
+	// so deleted ids stay dead and id allocation resumes past the
+	// watermark.
+	ids := idmap.New(slots)
 	if sx.ids != nil {
-		d.ids = sx.ids.Clone()
-	} else {
-		d.ids = idmap.New(slots)
+		ids = sx.ids.Clone()
 	}
-	for slot := range sx.dead {
-		d.deleted[slot] = true
-	}
-	if sx.attrs != nil {
-		d.attrs = sx.attrs.Slice(slots)
-	}
-	for i, ix := range sx.shards {
-		sh := dynShard{ix: ix, off: sx.offsets[i]}
-		if sx.shardDead != nil {
-			sh.dead = sx.shardDead[i]
-		}
-		d.shards[i] = sh
-	}
-	d.ctxs.New = func() any { return new(dynCtx) }
+	sx.copyTo(&d.main, slots, ids)
 	d.cond = sync.NewCond(&d.mu)
 	return d, nil
 }
@@ -271,8 +231,21 @@ func (d *DynamicIndex) Add(v []float32) (int, error) {
 // AddWithAttrs is Add with optional metadata attached to the vector:
 // the attributes become filterable (SearchCostInto, SearchCursor) and
 // travel through snapshots and (on a DurableIndex) the WAL. A nil attrs
-// is exactly Add.
+// is exactly Add. A vector with a NaN or ±Inf component is rejected
+// with ErrNonFiniteVector: its distances would order nothing.
 func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
+	for i, x := range v {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return 0, fmt.Errorf("%w: component %d is %v", ErrNonFiniteVector, i, x)
+		}
+	}
+	return d.add(v, a)
+}
+
+// add is AddWithAttrs without the finiteness check — the WAL replay
+// path, which must keep recovering rows journaled before the check
+// existed.
+func (d *DynamicIndex) add(v []float32, a Attrs) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(v) == 0 {
@@ -283,13 +256,13 @@ func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
 	}
 	slot := d.store.Append(v)
 	if len(a) > 0 {
-		if d.attrs == nil {
-			d.attrs = vec.NewMetaStore(slot + 1)
+		if d.main.attrs == nil {
+			d.main.attrs = vec.NewMetaStore(slot + 1)
 		}
-		d.attrs.PadTo(slot)
-		d.attrs.Append(a)
+		d.main.attrs.PadTo(slot)
+		d.main.attrs.Append(a)
 	}
-	id := d.ids.Alloc()
+	id := d.main.ids.Alloc()
 	d.writes++
 	err := d.buildErr
 	d.buildErr = nil
@@ -302,11 +275,11 @@ func (d *DynamicIndex) AddWithAttrs(v []float32, a Attrs) (int, error) {
 func (d *DynamicIndex) Attrs(id int) Attrs {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	slot, ok := d.ids.Slot(id)
-	if !ok || d.deleted[slot] {
+	slot, ok := d.main.ids.Slot(id)
+	if !ok || d.main.dead[slot] {
 		return nil
 	}
-	return d.attrs.Row(slot)
+	return d.main.attrs.Row(slot)
 }
 
 // maybeStartBuildLocked freezes the buffer into a background shard build
@@ -314,20 +287,20 @@ func (d *DynamicIndex) Attrs(id int) Attrs {
 // buffer is compacted first — tombstoned rows that never made it into a
 // shard are dropped before any index work is spent on them.
 func (d *DynamicIndex) maybeStartBuildLocked() {
-	if d.building || d.store.Len()-d.indexed < d.rebuildAt {
+	if d.building || d.store.Len()-d.main.rows() < d.rebuildAt {
 		return
 	}
 	d.compactBufferLocked()
-	if d.store.Len()-d.indexed < d.rebuildAt {
+	if d.store.Len()-d.main.rows() < d.rebuildAt {
 		return // compaction shrank the buffer back under the threshold
 	}
 	d.building = true
-	lo, hi := d.indexed, d.store.Len()
+	lo, hi := d.main.rows(), d.store.Len()
 	// Freeze the delta: a Slice view is stable across later appends
 	// (growth copies to a new block; in-place growth writes only beyond
 	// hi), and vectors themselves are never mutated.
 	delta := d.store.Slice(lo, hi)
-	go d.buildShard(d.gen, lo, hi, delta, d.attrs.Range(lo, hi), d.cfg)
+	go d.buildShard(d.gen, lo, hi, delta, d.main.attrs.Range(lo, hi), d.cfg)
 }
 
 // compactBufferLocked physically drops tombstoned rows from the
@@ -341,24 +314,25 @@ func (d *DynamicIndex) maybeStartBuildLocked() {
 // (bump d.gen), because the build's [lo, hi) range names pre-compaction
 // slots.
 func (d *DynamicIndex) compactBufferLocked() bool {
-	dead := 0
-	for slot := range d.deleted {
-		if slot >= d.indexed {
-			dead++
+	indexed, dead := d.main.rows(), d.main.dead
+	buffered := 0
+	for slot := range dead {
+		if slot >= indexed {
+			buffered++
 		}
 	}
-	if dead == 0 {
+	if buffered == 0 {
 		return false
 	}
-	isDead := func(slot int) bool { return d.deleted[slot] }
-	if d.attrs != nil {
-		d.attrs = d.attrs.CompactCopy(d.store.Len(), d.indexed, isDead)
+	isDead := func(slot int) bool { return dead[slot] }
+	if d.main.attrs != nil {
+		d.main.attrs = d.main.attrs.CompactCopy(d.store.Len(), indexed, isDead)
 	}
-	d.store = d.store.CompactCopy(d.indexed, isDead)
-	d.ids.Compact(d.indexed, isDead)
-	for slot := range d.deleted {
-		if slot >= d.indexed {
-			delete(d.deleted, slot)
+	d.store = d.store.CompactCopy(indexed, isDead)
+	d.main.ids.Compact(indexed, isDead)
+	for slot := range dead {
+		if slot >= indexed {
+			delete(dead, slot)
 		}
 	}
 	d.writes++ // compaction renumbers buffer slots; open cursors die
@@ -382,13 +356,12 @@ func (d *DynamicIndex) buildShard(gen uint64, lo, hi int, delta *vec.Store, attr
 			// Deletes that landed in [lo, hi) while the shard was
 			// building become its filter over-fetch allowance.
 			dead := 0
-			for slot := range d.deleted {
+			for slot := range d.main.dead {
 				if slot >= lo && slot < hi {
 					dead++
 				}
 			}
-			d.shards = append(d.shards, dynShard{ix: ix, off: lo, dead: dead})
-			d.indexed = hi
+			d.main.appendShard(ix, dead)
 			d.writes++ // source set changed; open cursors die
 		}
 	}
@@ -421,34 +394,16 @@ func (d *DynamicIndex) WaitRebuild() {
 func (d *DynamicIndex) Delete(id int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	slot, ok := d.ids.Slot(id)
-	if !ok || d.deleted[slot] {
+	slot, ok := d.main.ids.Slot(id)
+	if !ok || d.main.dead[slot] {
 		return false
 	}
-	d.deleted[slot] = true
-	if i := d.shardForSlotLocked(slot); i >= 0 {
-		d.shards[i].dead++
+	d.main.dead[slot] = true
+	if s := d.main.shardOf(slot); s >= 0 {
+		d.main.shardDead[s]++
 	}
 	d.writes++
 	return true
-}
-
-// shardForSlotLocked returns the index of the shard covering slot, or
-// -1 when the slot lives in the unindexed buffer.
-func (d *DynamicIndex) shardForSlotLocked(slot int) int {
-	if slot >= d.indexed || len(d.shards) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(d.shards)-1
-	for lo < hi { // find the last shard with off ≤ slot
-		mid := (lo + hi + 1) / 2
-		if d.shards[mid].off <= slot {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
 }
 
 // Deleted returns the number of pending tombstones — deleted vectors
@@ -456,7 +411,7 @@ func (d *DynamicIndex) shardForSlotLocked(slot int) int {
 func (d *DynamicIndex) Deleted() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.deleted)
+	return len(d.main.dead)
 }
 
 // idWatermark returns the next id Add will assign — the never-reused
@@ -465,7 +420,7 @@ func (d *DynamicIndex) Deleted() int {
 func (d *DynamicIndex) idWatermark() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.ids.Next()
+	return d.main.ids.Next()
 }
 
 // restoreWatermark installs a persisted id watermark on a freshly
@@ -476,14 +431,14 @@ func (d *DynamicIndex) idWatermark() int {
 func (d *DynamicIndex) restoreWatermark(next int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.store.Len() != 0 || d.ids.Next() != 0 {
-		return fmt.Errorf("lccs: watermark restore on a non-fresh index (%d rows, next id %d)", d.store.Len(), d.ids.Next())
+	if d.store.Len() != 0 || d.main.ids.Next() != 0 {
+		return fmt.Errorf("lccs: watermark restore on a non-fresh index (%d rows, next id %d)", d.store.Len(), d.main.ids.Next())
 	}
 	m, err := idmap.Restore([]int{}, next)
 	if err != nil {
 		return err
 	}
-	d.ids = m
+	d.main.ids = m
 	return nil
 }
 
@@ -500,37 +455,32 @@ func (d *DynamicIndex) Rebuild() error {
 	d.gen++ // discard any in-flight background build
 	// Compact into fresh state and commit only after the build succeeds,
 	// so a failed rebuild leaves the index exactly as it was.
-	store, ids, attrs := d.store, d.ids, d.attrs
-	if len(d.deleted) > 0 {
-		isDead := func(slot int) bool { return d.deleted[slot] }
+	store, ids, attrs := d.store, d.main.ids, d.main.attrs
+	if len(d.main.dead) > 0 {
+		isDead := func(slot int) bool { return d.main.dead[slot] }
 		if attrs != nil {
 			attrs = attrs.CompactCopy(d.store.Len(), 0, isDead)
 		}
 		store = d.store.CompactCopy(0, isDead)
-		ids = d.ids.Clone()
+		ids = d.main.ids.Clone()
 		ids.Compact(0, isDead)
 	}
-	n := store.Len()
-	if n == 0 {
-		// Everything was deleted (or nothing ever added): no index to
-		// build, nothing buffered.
-		d.store, d.ids, d.attrs = store, ids, attrs
-		d.deleted = make(map[int]bool)
-		d.shards = nil
-		d.indexed = 0
-		d.buildErr = nil
-		d.writes++
-		return nil
+	var ix *Index
+	if n := store.Len(); n > 0 {
+		var err error
+		if ix, err = buildIndexOver(store.Slice(0, n), attrs.Range(0, n), d.cfg); err != nil {
+			return err
+		}
+		d.adoptConfigLocked(ix)
 	}
-	ix, err := buildIndexOver(store.Slice(0, n), attrs.Range(0, n), d.cfg)
-	if err != nil {
-		return err
+	// Everything deleted (or nothing ever added) leaves no index to
+	// build and nothing buffered.
+	d.store = store
+	d.main.shards, d.main.offsets, d.main.shardDead = nil, []int{0}, nil
+	d.main.dead, d.main.ids, d.main.attrs = make(map[int]bool), ids, attrs
+	if ix != nil {
+		d.main.appendShard(ix, 0)
 	}
-	d.store, d.ids, d.attrs = store, ids, attrs
-	d.deleted = make(map[int]bool)
-	d.adoptConfigLocked(ix)
-	d.shards = []dynShard{{ix: ix, off: 0}}
-	d.indexed = n
 	d.buildErr = nil
 	d.writes++
 	return nil
@@ -540,7 +490,7 @@ func (d *DynamicIndex) Rebuild() error {
 func (d *DynamicIndex) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.store.Len() - len(d.deleted)
+	return d.store.Len() - len(d.main.dead)
 }
 
 // Buffered returns the number of vectors not yet covered by an index
@@ -549,7 +499,7 @@ func (d *DynamicIndex) Len() int {
 func (d *DynamicIndex) Buffered() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.store.Len() - d.indexed
+	return d.store.Len() - d.main.rows()
 }
 
 // Dim returns the dimensionality of the stored vectors, or 0 before the
@@ -564,36 +514,21 @@ func (d *DynamicIndex) Dim() int {
 func (d *DynamicIndex) Shards() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.shards)
+	return len(d.main.shards)
 }
 
 // Search returns the k nearest live vectors: every shard's candidates
 // (at the default budget) merged with an exact scan of the buffer.
 func (d *DynamicIndex) Search(q []float32, k int) ([]Neighbor, error) {
-	return d.SearchBudget(q, k, d.defaultBudget())
-}
-
-// defaultBudget returns the facade's default candidate budget: the
-// resolved configuration's, or the package default before the first
-// build resolves one.
-func (d *DynamicIndex) defaultBudget() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.budgetLocked()
-}
-
-// budgetLocked is defaultBudget for callers holding d.mu.
-func (d *DynamicIndex) budgetLocked() int {
-	if d.cfg.Budget > 0 {
-		return d.cfg.Budget
-	}
-	return defaultBudget
+	return d.SearchCostInto(q, k, 0, nil, nil, nil, nil)
 }
 
 // SearchBudget is Search with an explicit candidate budget λ. As in
-// ShardedIndex, the budget is divided across the index shards (⌈λ/S⌉
-// each), so a given budget means comparable verification work on every
-// Searcher backend; the insert buffer is always scanned exactly.
+// ShardedIndex, the budget is divided across the index shards in
+// proportion to their rows (⌈λ·n_s/n⌉ for a shard of n_s of the n
+// indexed rows), so a given budget means comparable verification work
+// on every Searcher backend and λ ≥ n stays exhaustive however uneven
+// the shards grew; the insert buffer is always scanned exactly.
 func (d *DynamicIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
 	if err := validateBudget(k, lambda); err != nil {
 		return nil, err
@@ -602,23 +537,21 @@ func (d *DynamicIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, err
 }
 
 // SearchCostInto is the dynamic index's one search body (see
-// CostSearcher). Shard fetches and the k-best row ride in pooled
-// scratch. Each shard of a filtered query is planned as described on
-// Filter — an exact posting-list gather or a CSA drain past
-// non-matching and tombstoned rows; the buffer scan applies the
+// CostSearcher): the shard set's fan-out and merge, with the unindexed
+// buffer as one more source. Each shard of a filtered query is planned
+// as described on Filter — an exact posting-list gather or a CSA drain
+// past non-matching and tombstoned rows; the buffer scan applies the
 // predicate per row. A traced query records one shard_scan span per
-// immutable shard (CSA comparison and verified-candidate counters), a
-// buffer_scan span over the unindexed delta buffer, and a merge span,
-// under a query root span.
+// immutable shard, a buffer_scan span over the unindexed delta buffer,
+// and a merge span, under a query root span.
 func (d *DynamicIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
 	if err := validateFilter(f); err != nil {
 		return nil, err
 	}
-	filtered := !f.Empty()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if lambda <= 0 {
-		lambda = d.budgetLocked()
+		lambda = d.cfg.Budget
 	}
 	if err := validateQuery(q, d.store.Dim(), k, lambda); err != nil {
 		return nil, err
@@ -626,88 +559,12 @@ func (d *DynamicIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst
 	if d.store.Len() == 0 {
 		return nil, nil
 	}
-	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
-	ctx := d.ctxs.Get().(*dynCtx)
-	ctx.best.Reset(k)
-	// The scans shift shard-local slots into the global slot space.
-	// Shard ranges are disjoint, so no dedup is needed.
-	lambdaShard := lambda
-	if s := len(d.shards); s > 1 {
-		lambdaShard = (lambda + s - 1) / s
-	}
-	for i, sh := range d.shards {
-		// Unfiltered, a shard over-fetches exactly its own tombstone
-		// count — never more than it holds — so k live results survive
-		// the liveness check below without the fetch growing with global
-		// churn. The filter predicate rejects tombstones too, so the
-		// filtered fetch of k matching live rows needs no allowance.
-		var accept func(int) bool
-		fetch := fetchForShard(k, sh.dead, sh.ix.Len())
-		if filtered {
-			accept, fetch = d.acceptLocked(f, sh.off), k
-		}
-		var stats core.SearchStats
-		ctx.shardBuf, stats = sh.ix.scan(q, fetch, lambdaShard, sh.off, f, accept, ctx.shardBuf, tr, root, i)
-		co.addStats(stats)
-		for _, nb := range ctx.shardBuf {
-			if !d.deleted[nb.ID] {
-				ctx.best.Add(nb.ID, nb.Dist)
-			}
-		}
-	}
-	// The unindexed buffer: one bulk kernel pass over the flat block.
-	bufSpan := tr.StartSpan(obs.StageBufferScan, root)
-	bufRows := d.store.Len() - d.indexed
-	rejected := 0
-	d.store.Scan(d.indexed, d.store.Len(), q, d.metricLocked(), func(slot int, dist float64) {
-		if d.deleted[slot] {
-			return
-		}
-		if filtered && !f.Matches(d.attrs.Row(slot)) {
-			rejected++
-			return
-		}
-		ctx.best.Add(slot, dist)
-	})
-	// The buffer scan reads every row's full float32 payload exactly
-	// once; rows the predicate rejected still paid for their distance
-	// (Comparisons) but do not count as candidates, matching the core
-	// accounting.
-	bufBytes := int64(bufRows) * int64(d.store.Dim()) * 4
-	if tr != nil {
-		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(bufSpan, int64(bufRows), int64(bufRows-rejected), bufBytes))
-	}
-	co.addStats(core.SearchStats{
-		Comparisons:    bufRows,
-		Candidates:     bufRows - rejected,
-		BytesScanned:   bufBytes,
-		FilterRejected: rejected,
-	})
-	mergeSpan := tr.StartSpan(obs.StageMerge, root)
-	ctx.sorted = ctx.best.AppendSorted(ctx.sorted[:0])
-	if dst == nil {
-		dst = make([]Neighbor, 0, len(ctx.sorted))
-	}
-	dst = dst[:0]
-	for _, nb := range ctx.sorted {
-		// Results leave in the stable external id space.
-		dst = append(dst, Neighbor{ID: d.ids.Ext(nb.ID), Dist: nb.Dist})
-	}
-	d.ctxs.Put(ctx)
-	if tr != nil {
-		obs.ObserveDur(obs.StageMerge, tr.FinishSpanN(mergeSpan, int64(len(dst)), 0))
-		obs.ObserveDur(obs.StageQuery, tr.FinishSpan(root))
-	}
-	return dst, nil
+	return d.main.search(q, k, lambda, false, f, d.bufferLocked(), dst, co, tr), nil
 }
 
-// acceptLocked builds the per-shard candidate predicate of a filtered
-// or cursor dynamic query: live and matching, in the global slot space.
-func (d *DynamicIndex) acceptLocked(f *Filter, off int) func(int) bool {
-	return func(local int) bool {
-		glob := local + off
-		return !d.deleted[glob] && f.Matches(d.attrs.Row(glob))
-	}
+// bufferLocked returns the unindexed delta buffer as a merge source.
+func (d *DynamicIndex) bufferLocked() buffer {
+	return buffer{store: d.store, metric: d.metricLocked()}
 }
 
 // Distance returns the configured metric's distance between two vectors.
@@ -747,7 +604,8 @@ func (d *DynamicIndex) Snapshot() ([][]float32, *ShardedIndex, error) {
 
 // snapshotStore is Snapshot returning the frozen flat store itself —
 // the durable checkpoint path persists the block directly instead of
-// materializing per-row views.
+// materializing per-row views. The ShardedIndex is a copy of the main
+// set plus a shard over the buffer.
 func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -761,52 +619,24 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 	if n == 0 {
 		return nil, nil, errors.New("lccs: nothing to snapshot: empty dynamic index")
 	}
-	shards := make([]*Index, 0, len(d.shards)+1)
-	offsets := make([]int, 0, len(d.shards)+2)
-	shardDead := make([]int, 0, len(d.shards)+1)
-	for _, sh := range d.shards {
-		shards = append(shards, sh.ix)
-		offsets = append(offsets, sh.off)
-		shardDead = append(shardDead, sh.dead)
-	}
-	if d.indexed < n {
-		tail, err := buildIndexOver(d.store.Slice(d.indexed, n), d.attrs.Range(d.indexed, n), d.cfg)
-		if err != nil {
+	var tail *Index
+	if indexed := d.main.rows(); indexed < n {
+		var err error
+		if tail, err = buildIndexOver(d.store.Slice(indexed, n), d.main.attrs.Range(indexed, n), d.cfg); err != nil {
 			return nil, nil, err
 		}
 		d.adoptConfigLocked(tail)
-		shards = append(shards, tail)
-		offsets = append(offsets, d.indexed)
-		shardDead = append(shardDead, 0) // the buffer was just compacted
-	}
-	offsets = append(offsets, n)
-	budget := d.cfg.Budget
-	if budget <= 0 {
-		budget = defaultBudget
 	}
 	frozen := d.store.Slice(0, n)
-	sx := &ShardedIndex{
-		cfg:     d.cfg,
-		store:   frozen,
-		shards:  shards,
-		offsets: offsets,
-		budget:  budget,
-		dim:     d.store.Dim(),
+	sx := &ShardedIndex{cfg: d.cfg, store: frozen, dim: d.store.Dim()}
+	var ids *idmap.Map
+	if !d.main.ids.Identity() {
+		ids = d.main.ids.Clone()
 	}
-	if !d.ids.Identity() {
-		sx.ids = d.ids.Clone()
+	d.main.copyTo(&sx.shardSet, n, ids)
+	if tail != nil {
+		sx.appendShard(tail, 0) // the buffer was just compacted
 	}
-	if d.attrs != nil && !d.attrs.Empty() {
-		sx.attrs = d.attrs.Slice(n)
-	}
-	if len(d.deleted) > 0 {
-		sx.dead = make(map[int]bool, len(d.deleted))
-		for slot := range d.deleted {
-			sx.dead[slot] = true
-		}
-		sx.shardDead = shardDead
-	}
-	sx.initPool()
 	return frozen, sx, nil
 }
 
@@ -817,7 +647,7 @@ func (d *DynamicIndex) snapshotStore() (*vec.Store, *ShardedIndex, error) {
 func (d *DynamicIndex) Vector(id int) []float32 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	slot, ok := d.ids.Slot(id)
+	slot, ok := d.main.ids.Slot(id)
 	if !ok {
 		return nil
 	}
@@ -827,8 +657,8 @@ func (d *DynamicIndex) Vector(id int) []float32 {
 // metricLocked returns the configured distance metric, usable before the
 // first index exists.
 func (d *DynamicIndex) metricLocked() vec.Metric {
-	if len(d.shards) > 0 {
-		return d.shards[0].ix.metric
+	if len(d.main.shards) > 0 {
+		return d.main.shards[0].metric
 	}
 	// No index yet: resolve the metric from the config. familyFor needs
 	// a dimension; any positive one works for metric resolution.

@@ -2,6 +2,7 @@ package lccs
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -137,6 +138,39 @@ func TestDynamicDimensionMismatch(t *testing.T) {
 	}
 	if _, err := d.Add(nil); !errors.Is(err, ErrEmptyVector) {
 		t.Fatalf("nil vector: err=%v, want ErrEmptyVector", err)
+	}
+}
+
+// TestDynamicRejectsNonFiniteVectors: a vector with a NaN or ±Inf
+// component is rejected with ErrNonFiniteVector before it reaches the
+// store, so no result ever carries a NaN distance. The probe is the one
+// that once broke ascending order: {NaN, 0} added beside five finite
+// rows came back as the fifth of six results with Dist NaN.
+func TestDynamicRejectsNonFiniteVectors(t *testing.T) {
+	d, err := NewDynamicIndex([][]float32{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}}, Config{Metric: Euclidean, M: 8, Seed: 3}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, v := range [][]float32{{nan, 0}, {0, inf}, {-inf, 1}} {
+		if _, err := d.Add(v); !errors.Is(err, ErrNonFiniteVector) {
+			t.Fatalf("Add(%v): err=%v, want ErrNonFiniteVector", v, err)
+		}
+		if _, err := d.AddWithAttrs(v, Attrs{"k": IntAttr(1)}); !errors.Is(err, ErrNonFiniteVector) {
+			t.Fatalf("AddWithAttrs(%v): err=%v, want ErrNonFiniteVector", v, err)
+		}
+	}
+	if d.Len() != 5 || d.Buffered() != 0 {
+		t.Fatalf("rejected vectors reached the index: Len %d, Buffered %d", d.Len(), d.Buffered())
+	}
+	if id := must(d.Add([]float32{5, 0})); id != 5 {
+		t.Fatalf("next id after rejections = %d, want 5", id)
+	}
+	res := must(d.SearchBudget([]float32{0, 1}, 6, 100))
+	for i, nb := range res {
+		if nb.ID != i || math.IsNaN(nb.Dist) {
+			t.Fatalf("result %d = %+v in %v", i, nb, res)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -130,5 +132,37 @@ func TestDurableInsertNotAckedAfterClose(t *testing.T) {
 	}
 	if code := postJSON(t, ts, "/v1/delete", map[string]any{"id": 0}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("delete on broken WAL: HTTP %d, want 503", code)
+	}
+}
+
+// TestInsertRejectsNonFiniteVector: a vector with a NaN or ±Inf
+// component is a 400 on a durable collection and is never journaled.
+// JSON cannot spell NaN and a float32 overflow such as 1e39 fails the
+// decode, so the HTTP request is refused before the index; the batch
+// path behind it maps the index's own ErrNonFiniteVector to 400 too.
+func TestInsertRejectsNonFiniteVector(t *testing.T) {
+	data, _ := testWorkload(93, 20, 8)
+	di := openDurableBackend(t, t.TempDir())
+	s, ts := newTestServer(t, Config{Backend: di})
+	if code := postJSON(t, ts, "/v1/insert", insertRequest{Vectors: data}, nil); code != http.StatusOK {
+		t.Fatalf("insert: HTTP %d", code)
+	}
+	wal := di.WALStats().AppendedBytes
+
+	overflow := json.RawMessage(`{"vectors":[[1e39,0,0,0,0,0,0,0]]}`)
+	if code := postJSON(t, ts, "/v1/insert", overflow, nil); code != http.StatusBadRequest {
+		t.Fatalf("overflowing component: HTTP %d, want 400", code)
+	}
+	bad := append([]float32(nil), data[0]...)
+	bad[1] = float32(math.NaN())
+	ids, _, code, err := s.applyInserts(s.colls["default"], [][]float32{bad}, nil)
+	if code != http.StatusBadRequest || !errors.Is(err, lccs.ErrNonFiniteVector) || len(ids) != 0 {
+		t.Fatalf("NaN insert: ids %v HTTP %d err=%v, want none, 400, ErrNonFiniteVector", ids, code, err)
+	}
+	if got := di.WALStats().AppendedBytes; got != wal {
+		t.Fatalf("rejected inserts grew the WAL: %d → %d bytes", wal, got)
+	}
+	if di.Len() != len(data) {
+		t.Fatalf("Len %d, want %d", di.Len(), len(data))
 	}
 }

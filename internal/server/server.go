@@ -1101,7 +1101,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // a deferred background-build failure delivered alongside a successful
 // insert.
 func isRejectedInsert(err error) bool {
-	return errors.Is(err, lccs.ErrEmptyVector) || errors.Is(err, lccs.ErrDimensionMismatch)
+	return errors.Is(err, lccs.ErrEmptyVector) || errors.Is(err, lccs.ErrDimensionMismatch) || errors.Is(err, lccs.ErrNonFiniteVector)
 }
 
 // ---- collection registry endpoints ----

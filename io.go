@@ -471,7 +471,7 @@ func checkCoreMatches(single *core.Index, cfg Config) error {
 // wrapSingle builds the facade Index around a decoded core index,
 // restoring the multi-probe wrapper when the configuration asks for one.
 func wrapSingle(single *core.Index, cfg Config, family lshfamily.Family) (*Index, error) {
-	ix := &Index{single: single, metric: family.Metric(), budget: cfg.Budget, dim: family.Dim(), cfg: cfg}
+	ix := &Index{single: single, metric: family.Metric(), dim: family.Dim(), cfg: cfg}
 	ix.raw.New = func() any { return new(rawBuf) }
 	if cfg.Probes > 1 {
 		mp, err := core.WrapMP(single, core.MPParams{
@@ -675,7 +675,7 @@ func readPkg5Header(r io.Reader) (kind, flags byte, err error) {
 func (sx *ShardedIndex) encodeLifecycle(w io.Writer) error {
 	identity := sx.ids.Identity()
 	flag := byte(0)
-	next := sx.slots()
+	next := sx.rows()
 	if identity {
 		flag = 1
 	} else {
@@ -688,7 +688,7 @@ func (sx *ShardedIndex) encodeLifecycle(w io.Writer) error {
 		return err
 	}
 	if !identity {
-		ids := sx.ids.AppendIDs(make([]int, 0, sx.slots()))
+		ids := sx.ids.AppendIDs(make([]int, 0, sx.rows()))
 		if err := binary.Write(w, binary.LittleEndian, int64(len(ids))); err != nil {
 			return err
 		}
@@ -729,7 +729,7 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 	if err := binary.Read(r, binary.LittleEndian, &next); err != nil {
 		return err
 	}
-	slots := sx.slots()
+	slots := sx.rows()
 	switch flag[0] {
 	case 1:
 		if next != int64(slots) {
@@ -789,12 +789,7 @@ func (sx *ShardedIndex) decodeLifecycle(r io.Reader) error {
 			return fmt.Errorf("lccs: tombstone id %d resolves to no slot", id)
 		}
 		sx.dead[slot] = true
-		for s := 0; s < len(sx.shards); s++ {
-			if slot >= sx.offsets[s] && slot < sx.offsets[s+1] {
-				sx.shardDead[s]++
-				break
-			}
-		}
+		sx.shardDead[sx.shardOf(slot)]++
 	}
 	return nil
 }
@@ -872,7 +867,7 @@ func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		attrs, err := decodeAttrsSection(r, sx.slots())
+		attrs, err := decodeAttrsSection(r, sx.rows())
 		if err != nil {
 			return nil, err
 		}
@@ -886,16 +881,9 @@ func LoadShardedStore(path string, store *vec.Store) (*ShardedIndex, error) {
 // ShardedIndex — the migration path for format-1 (and quantized
 // format-4 single) files opened with LoadSharded.
 func wrapAsSharded(ix *Index) *ShardedIndex {
-	sx := &ShardedIndex{
-		cfg:     ix.cfg,
-		store:   ix.single.Store(),
-		shards:  []*Index{ix},
-		offsets: []int{0, ix.Len()},
-		budget:  ix.budget,
-		dim:     ix.dim,
-		attrs:   ix.attrs,
-	}
-	sx.initPool()
+	sx := &ShardedIndex{cfg: ix.cfg, store: ix.single.Store(), dim: ix.dim}
+	sx.offsets, sx.attrs = []int{0}, ix.attrs
+	sx.appendShard(ix, 0)
 	return sx
 }
 
@@ -939,14 +927,8 @@ func decodeSharded(r io.Reader, store *vec.Store, lifecycle, quantized bool) (*S
 	if err != nil {
 		return nil, err
 	}
-	sx := &ShardedIndex{
-		cfg:     cfg,
-		store:   store,
-		shards:  make([]*Index, shardCount),
-		offsets: offsets,
-		budget:  cfg.Budget,
-		dim:     store.Dim(),
-	}
+	sx := &ShardedIndex{cfg: cfg, store: store, dim: store.Dim()}
+	sx.shards, sx.offsets = make([]*Index, shardCount), offsets
 	for s := range sx.shards {
 		single, err := core.DecodeStore(r, store.Slice(offsets[s], offsets[s+1]), family)
 		if err != nil {
@@ -983,7 +965,6 @@ func decodeSharded(r io.Reader, store *vec.Store, lifecycle, quantized bool) (*S
 			sx.shards[s].cfg.Quantize, sx.shards[s].cfg.Rerank = kind, rerank
 		}
 	}
-	sx.initPool()
 	return sx, nil
 }
 

@@ -143,6 +143,9 @@ var (
 	// ErrNonFiniteQuery is returned for a query with a NaN or ±Inf
 	// component, whose distances would order nothing.
 	ErrNonFiniteQuery = errors.New("lccs: query has a NaN or infinite component")
+	// ErrNonFiniteVector is returned by write paths (DynamicIndex.Add)
+	// for a vector with a NaN or ±Inf component.
+	ErrNonFiniteVector = errors.New("lccs: vector has a NaN or infinite component")
 )
 
 // Searcher is the facade-agnostic query interface implemented by Index,
@@ -318,7 +321,6 @@ type Index struct {
 	single *core.Index
 	multi  *core.MPIndex
 	metric vec.Metric
-	budget int
 	dim    int
 	// cfg is the fully resolved configuration (auto-derived bucket width
 	// filled in), persisted by Save.
@@ -433,7 +435,7 @@ func newIndexFromStore(store *vec.Store, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{metric: family.Metric(), budget: cfg.Budget, dim: store.Dim(), cfg: cfg}
+	ix := &Index{metric: family.Metric(), dim: store.Dim(), cfg: cfg}
 	ix.raw.New = func() any { return new(rawBuf) }
 	if cfg.Probes > 1 {
 		mp, err := core.BuildMPStore(store, family, core.MPParams{
@@ -502,7 +504,7 @@ func autoBucketWidth(store *vec.Store, seed uint64) float64 {
 // Search returns the k nearest neighbors of q found within the index's
 // default candidate budget, in ascending distance order.
 func (ix *Index) Search(q []float32, k int) ([]Neighbor, error) {
-	return ix.SearchBudget(q, k, ix.budget)
+	return ix.SearchBudget(q, k, ix.cfg.Budget)
 }
 
 // SearchBudget is Search with an explicit candidate budget λ: the query
@@ -523,7 +525,7 @@ func (ix *Index) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
 // metadata matches only the empty filter.
 func (ix *Index) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
 	if lambda <= 0 {
-		lambda = ix.budget
+		lambda = ix.cfg.Budget
 	}
 	if err := validateFilter(f); err != nil {
 		return nil, err

@@ -100,9 +100,16 @@ type plannerFacade struct {
 	name    string
 	s       Searcher
 	sources []plannerSource
-	// cursorLambda maps a request budget to each shard source's cursor
-	// budget (⌈λ/S⌉ on a ShardedIndex, λ elsewhere).
-	cursorLambda func(lambda int) int
+}
+
+// shardLambda is a shard's share of the request budget λ on every
+// facade: ⌈λ·n_s/n⌉ for a shard of n_s of the n indexed rows.
+func (fac *plannerFacade) shardLambda(ix *Index, lambda int) int {
+	n := 0
+	for _, shard := range fac.shards() {
+		n += shard.Len()
+	}
+	return int((int64(lambda)*int64(ix.Len()) + int64(n) - 1) / int64(n))
 }
 
 // shards returns the facade's index shards.
@@ -143,8 +150,7 @@ func rangeIDs(lo, hi int, ext func(int) int) []int {
 
 func indexFacade(name string, ix *Index) *plannerFacade {
 	return &plannerFacade{name: name, s: ix,
-		sources:      []plannerSource{{ix: ix, ids: rangeIDs(0, ix.Len(), func(s int) int { return s })}},
-		cursorLambda: func(l int) int { return l }}
+		sources: []plannerSource{{ix: ix, ids: rangeIDs(0, ix.Len(), func(s int) int { return s })}}}
 }
 
 func shardedFacade(name string, sx *ShardedIndex) *plannerFacade {
@@ -152,17 +158,15 @@ func shardedFacade(name string, sx *ShardedIndex) *plannerFacade {
 	for s, ix := range sx.shards {
 		fac.sources = append(fac.sources, plannerSource{ix: ix, ids: rangeIDs(sx.offsets[s], sx.offsets[s+1], sx.ids.Ext)})
 	}
-	S := len(sx.shards)
-	fac.cursorLambda = func(l int) int { return (l + S - 1) / S }
 	return fac
 }
 
 func dynamicFacade(name string, d *DynamicIndex) *plannerFacade {
-	fac := &plannerFacade{name: name, s: d, cursorLambda: func(l int) int { return l }}
-	for _, sh := range d.shards {
-		fac.sources = append(fac.sources, plannerSource{ix: sh.ix, ids: rangeIDs(sh.off, sh.off+sh.ix.Len(), d.ids.Ext)})
+	fac := &plannerFacade{name: name, s: d}
+	for s, ix := range d.main.shards {
+		fac.sources = append(fac.sources, plannerSource{ix: ix, ids: rangeIDs(d.main.offsets[s], d.main.offsets[s+1], d.main.ids.Ext)})
 	}
-	fac.sources = append(fac.sources, plannerSource{ids: rangeIDs(d.indexed, d.store.Len(), d.ids.Ext)})
+	fac.sources = append(fac.sources, plannerSource{ids: rangeIDs(d.main.rows(), d.store.Len(), d.main.ids.Ext)})
 	return fac
 }
 
@@ -300,13 +304,12 @@ func checkOneShot(t *testing.T, fac *plannerFacade, o *plannerOracle, q []float3
 // from postings, by the planner's own rule (a cursor source verifies
 // exactly its cursor budget: λ'+k−1 = λ_src on every page).
 func cursorPlans(fac *plannerFacade, lambda int, f *Filter) (postings, shards int) {
-	lsrc := fac.cursorLambda(lambda)
 	for _, ix := range fac.shards() {
 		shards++
 		if ix.post == nil {
 			continue
 		}
-		if rows, ok := ix.post.Shortest(f); ok && usePostings(len(rows), lsrc, ix.Len()) {
+		if rows, ok := ix.post.Shortest(f); ok && usePostings(len(rows), fac.shardLambda(ix, lambda), ix.Len()) {
 			postings++
 		}
 	}
@@ -330,7 +333,7 @@ func checkCursorDrain(t *testing.T, fac *plannerFacade, o *plannerOracle, q []fl
 		for _, src := range fac.sources {
 			cut := 0
 			if src.ix != nil {
-				cut = fac.cursorLambda(lambda)
+				cut = fac.shardLambda(src.ix, lambda)
 			}
 			want = append(want, o.ranked(src.ids, q, f, cut, fac.s.Distance)...)
 		}

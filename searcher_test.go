@@ -27,7 +27,31 @@ func searcherFixtures(t *testing.T, data [][]float32, cfg Config) map[string]Sea
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Searcher{"Index": ix, "ShardedIndex": sx, "DynamicIndex": dyn}
+	return map[string]Searcher{"Index": ix, "ShardedIndex": sx, "DynamicIndex": dyn, "UnevenDynamicIndex": unevenDynamic(t, data, cfg)}
+}
+
+// unevenDynamic builds a DynamicIndex over data whose sources are
+// uneven: a base shard over all but the last 15% of the rows, a
+// background-built delta shard of 10%, and the last 5% left in the
+// unindexed buffer.
+func unevenDynamic(t *testing.T, data [][]float32, cfg Config) *DynamicIndex {
+	t.Helper()
+	n := len(data)
+	base, delta := n-n*15/100, n*10/100
+	dyn, err := NewDynamicIndex(data[:base], cfg, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range data[base:] {
+		must(dyn.Add(v))
+		if i == delta-1 {
+			dyn.WaitRebuild() // freeze exactly the first delta inserts
+		}
+	}
+	if dyn.Shards() != 2 || dyn.Buffered() != n-base-delta {
+		t.Fatalf("uneven fixture: %d shards, %d buffered", dyn.Shards(), dyn.Buffered())
+	}
+	return dyn
 }
 
 // TestSearcherConformanceIdenticalResults: at an exhaustive candidate
@@ -40,7 +64,7 @@ func TestSearcherConformanceIdenticalResults(t *testing.T) {
 	facades := searcherFixtures(t, data, cfg)
 
 	const k = 8
-	exhaustive := 3 * len(data) // covers every shard even after ⌈λ/S⌉ splitting
+	exhaustive := len(data) // every shard's ⌈λ·n_s/n⌉ share covers its rows
 	for qi := 0; qi < 12; qi++ {
 		q := g.GaussianVector(10)
 		want := must(facades["Index"].SearchBudget(q, k, exhaustive))
@@ -393,5 +417,70 @@ func TestSnapshotEmptyDynamic(t *testing.T) {
 	}
 	if _, _, err := dyn.Snapshot(); err == nil {
 		t.Fatal("empty snapshot should fail")
+	}
+}
+
+// exactTopK is the brute-force reference: the k nearest rows of data in
+// the canonical (distance, id) order.
+func exactTopK(data [][]float32, q []float32, k int, dist func(a, b []float32) float64) []Neighbor {
+	all := make([]Neighbor, len(data))
+	for i, v := range data {
+		all[i] = Neighbor{ID: i, Dist: dist(v, q)}
+	}
+	sortNeighbors(all)
+	return all[:k]
+}
+
+// TestUnevenShardsExhaustiveBudget: λ = n verifies every row however
+// uneven the shards are. The DynamicIndex holds a 2,900-row base shard
+// and a 100-row delta shard built in the background; an equal ⌈λ/S⌉
+// split would give the base shard barely half its rows. The one-shot
+// search, a full cursor drain, the Snapshot ShardedIndex and its
+// Save/LoadSharded round trip must all equal brute force.
+func TestUnevenShardsExhaustiveBudget(t *testing.T) {
+	const n, dim, k = 3000, 16, 10
+	data, g := testData(97, n, dim, 8, 1.0)
+	cfg := Config{Metric: Euclidean, M: 16, Seed: 29}
+	dyn, err := NewDynamicIndex(data[:2900], cfg, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range data[2900:] {
+		must(dyn.Add(v))
+	}
+	dyn.WaitRebuild()
+	if dyn.Shards() != 2 || dyn.Buffered() != 0 {
+		t.Fatalf("fixture: %d shards, %d buffered; want 2, 0", dyn.Shards(), dyn.Buffered())
+	}
+	rows, snap, err := dyn.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "uneven.lccs")
+	if err := snap.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSharded(path, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facades := map[string]Searcher{"DynamicIndex": dyn, "Snapshot": snap, "Loaded": loaded}
+	for qi := 0; qi < 50; qi++ {
+		q := g.GaussianVector(dim)
+		want := exactTopK(data, q, k, dyn.Distance)
+		for name, s := range facades {
+			if got := must(s.SearchBudget(q, k, n)); !neighborsEqual(got, want) {
+				t.Fatalf("%s query %d at λ=n: got %v, want %v", name, qi, got, want)
+			}
+		}
+		if qi%10 == 0 {
+			// The drain at λ = n is the full exact ordering of every row.
+			all := exactTopK(data, q, n, dyn.Distance)
+			for name, s := range facades {
+				if got := drainCursor(t, s, q, 200, n, nil); !neighborsEqual(got, all) {
+					t.Fatalf("%s query %d: cursor drain at λ=n differs from brute force", name, qi)
+				}
+			}
+		}
 	}
 }

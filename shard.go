@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -39,57 +40,58 @@ import (
 // per-shard result lists and the tournament merge) is pooled, so
 // SearchCostInto with a reused dst allocates nothing at steady state.
 type ShardedIndex struct {
-	cfg    Config
-	store  *vec.Store
-	shards []*Index
-	// offsets[s] is the global id of the first vector of shard s;
-	// offsets[len(shards)] == n. Shard s covers data[offsets[s]:offsets[s+1]].
-	offsets   []int
-	budget    int
+	shardSet
+	cfg       Config
+	store     *vec.Store
 	dim       int
 	buildTime time.Duration
-	// Lifecycle state carried over from a DynamicIndex snapshot (or a
-	// loaded LCCSPKG3 container). All three stay nil on fresh builds and
-	// legacy loads, keeping the common path untouched.
-	//
-	// ids maps dense store slots to the stable external ids results are
-	// reported in; nil means the identity (slot == id).
-	ids *idmap.Map
-	// dead is the tombstone set keyed by store slot: these rows are
-	// indexed positionally by the shard structures but must never
-	// surface in results.
-	dead map[int]bool
-	// shardDead[s] counts tombstones inside shard s — its per-query
-	// over-fetch allowance.
+}
+
+// shardSet is the query side shared by ShardedIndex and the indexed main
+// of a DynamicIndex: immutable shards over contiguous slot ranges, the
+// lifecycle state that maps their rows to results, and the one fan-out,
+// merge and cursor both facades answer through. A DynamicIndex mutates
+// its set only under its write lock.
+type shardSet struct {
+	shards []*Index
+	// offsets[s] is the slot of the first row of shard s;
+	// offsets[len(shards)] is the number of indexed rows (rows()).
+	offsets []int
+	// shardDead[s] counts tombstones inside shard s — its unfiltered
+	// over-fetch allowance; nil means none anywhere.
 	shardDead []int
-	// attrs holds per-slot metadata (global slot space, shared across
-	// shards); nil when no vector carries attributes.
+	// dead is the tombstone set keyed by slot: these rows stay indexed
+	// positionally but never surface in results. nil on fresh builds.
+	dead map[int]bool
+	// ids maps slots to the stable external ids results are reported
+	// in; nil means the identity (slot == id).
+	ids *idmap.Map
+	// attrs holds per-slot metadata in the set's slot space; nil when no
+	// row carries attributes.
 	attrs *vec.MetaStore
-	// ctxs pools shardCtx values: the per-shard result buffers and the
-	// tournament tree of one fan-out query.
+	// ctxs pools shardCtx values: the per-source result buffers and the
+	// tournament tree of one query.
 	ctxs sync.Pool
 }
 
-// shardCtx is the pooled per-query scratch of a shard fan-out: one
-// reusable result buffer per shard, a per-shard stats slot (written by
-// each scan, summed after the fan-out joins — no atomics), and the
-// merge tree.
+// shardCtx is the pooled per-query scratch of a fan-out: one reusable
+// result buffer per source, a per-source stats slot (written by each
+// scan, summed after the fan-out joins — no atomics), the buffer scan's
+// top-k collector, and the merge tree.
 type shardCtx struct {
 	lists [][]pqueue.Neighbor
 	stats []core.SearchStats
+	best  pqueue.KBest
 	t     pqueue.Tournament
 }
 
-// initPool installs the shardCtx pool; called once per constructed or
-// loaded sharded index.
-func (sx *ShardedIndex) initPool() {
-	s := len(sx.shards)
-	sx.ctxs.New = func() any {
-		return &shardCtx{
-			lists: make([][]pqueue.Neighbor, s),
-			stats: make([]core.SearchStats, s),
-		}
-	}
+// buffer is the unindexed row range past a set's shards — a
+// DynamicIndex's delta buffer, slots [rows(), store.Len()) — scanned
+// exactly as one more sorted source of the merge and the cursor. The
+// zero buffer (nil store) is none.
+type buffer struct {
+	store  *vec.Store
+	metric vec.Metric
 }
 
 // NewShardedIndex builds an LCCS-LSH index over data partitioned into the
@@ -123,14 +125,9 @@ func newShardedFromStore(store *vec.Store, cfg Config, shards int) (*ShardedInde
 	}
 
 	start := time.Now()
-	sx := &ShardedIndex{
-		cfg:     cfg,
-		store:   store,
-		shards:  make([]*Index, shards),
-		offsets: shardOffsets(n, shards),
-		budget:  cfg.Budget,
-		dim:     store.Dim(),
-	}
+	sx := &ShardedIndex{cfg: cfg, store: store, dim: store.Dim()}
+	sx.shards = make([]*Index, shards)
+	sx.offsets = shardOffsets(n, shards)
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
 	for s := 0; s < shards; s++ {
@@ -146,7 +143,6 @@ func newShardedFromStore(store *vec.Store, cfg Config, shards int) (*ShardedInde
 			return nil, err
 		}
 	}
-	sx.initPool()
 	sx.buildTime = time.Since(start)
 	return sx, nil
 }
@@ -170,13 +166,14 @@ func shardOffsets(n, shards int) []int {
 // index's default candidate budget, in ascending distance order. Ids are
 // global: they index into the data slice the index was built from.
 func (sx *ShardedIndex) Search(q []float32, k int) ([]Neighbor, error) {
-	return sx.SearchBudget(q, k, sx.budget)
+	return sx.SearchBudget(q, k, sx.cfg.Budget)
 }
 
 // SearchBudget is Search with an explicit candidate budget λ. The budget
-// is divided across shards (⌈λ/S⌉ each), so each shard verifies
-// ⌈λ/S⌉+k−1 candidates and the total verification work is ≈ λ+S·(k−1).
-// The shards are searched concurrently when more than one CPU is
+// is divided across shards in proportion to their rows (⌈λ·n_s/n⌉ for
+// shard s of n_s rows), so shard s verifies ⌈λ·n_s/n⌉+k−1 candidates,
+// the total verification work is ≈ λ+S·(k−1), and λ ≥ n verifies every
+// row. The shards are searched concurrently when more than one CPU is
 // available.
 func (sx *ShardedIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, error) {
 	if err := validateBudget(k, lambda); err != nil {
@@ -199,17 +196,13 @@ func (sx *ShardedIndex) SearchBudget(q []float32, k, lambda int) ([]Neighbor, er
 // matching rows.
 func (sx *ShardedIndex) SearchCostInto(q []float32, k, lambda int, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
 	if lambda <= 0 {
-		lambda = sx.budget
+		lambda = sx.cfg.Budget
 	}
 	return sx.searchCostInto(q, k, lambda, false, f, dst, co, tr)
 }
 
-// searchCostInto is the fan-out/merge behind SearchCostInto, with the
-// shard scans optionally on per-shard goroutines. Results are appended
-// to dst (reset to dst[:0] first; dst may be nil). Per-shard stats land
-// in pooled slots and are summed after the fan-out joins, so the
-// parallel path needs no atomics and the sequential path allocates
-// nothing.
+// searchCostInto validates a query and runs the set's fan-out/merge,
+// with the shard scans optionally on per-shard goroutines.
 func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool, f *Filter, dst []Neighbor, co *Cost, tr *Trace) ([]Neighbor, error) {
 	if err := validateFilter(f); err != nil {
 		return nil, err
@@ -217,9 +210,26 @@ func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool
 	if err := validateQuery(q, sx.dim, k, lambda); err != nil {
 		return nil, err
 	}
+	return sx.search(q, k, lambda, parallel, f, buffer{}, dst, co, tr), nil
+}
+
+// search is the one fan-out/merge of both sharded facades: every shard
+// scans its share of λ (optionally on per-shard goroutines), the buffer
+// — when there is one — is scanned exactly, and a tournament merges the
+// sorted per-source lists into the top k, skipping tombstoned rows and
+// reporting external ids. Results are appended to dst (reset to dst[:0]
+// first; dst may be nil). Per-source stats land in pooled slots and are
+// summed after the fan-out joins, so the parallel path needs no atomics
+// and the sequential path allocates nothing.
+func (ss *shardSet) search(q []float32, k, lambda int, parallel bool, f *Filter, buf buffer, dst []Neighbor, co *Cost, tr *Trace) []Neighbor {
 	root := tr.StartSpan(obs.StageQuery, -1) // nil-safe: -1 when untraced
-	ctx := sx.ctxs.Get().(*shardCtx)
-	sx.searchShards(q, k, lambda, parallel, f, ctx, tr, root)
+	ctx := ss.getCtx(buf)
+	ss.scanShards(q, k, lambda, parallel, f, ctx, tr, root)
+	if buf.store != nil {
+		s := len(ss.shards)
+		ctx.best.Reset(k)
+		ctx.lists[s], ctx.stats[s] = ss.scanBuffer(buf, q, f, &ctx.best, ctx.lists[s], tr, root)
+	}
 	mergeSpan := tr.StartSpan(obs.StageMerge, root)
 	ctx.t.Reset(ctx.lists)
 	if dst == nil {
@@ -232,86 +242,194 @@ func (sx *ShardedIndex) searchCostInto(q []float32, k, lambda int, parallel bool
 		if !ok {
 			break
 		}
-		// Tombstones from a dynamic snapshot are filtered here (the
-		// per-shard fetch over-shot by the shard's tombstone count, so k
-		// live results still come through); ids leave in the stable
-		// external space. Both are no-ops on fresh builds, and a
-		// filtered scan already rejected dead rows in-stream.
-		if sx.dead[nb.ID] {
+		// Unfiltered shard lists may hold tombstoned rows (each shard
+		// over-fetched by its tombstone count, so k live results still
+		// come through); filtered scans and the buffer already rejected
+		// them. Ids leave in the stable external space.
+		if ss.dead[nb.ID] {
 			continue
 		}
-		dst = append(dst, Neighbor{ID: sx.ids.Ext(nb.ID), Dist: nb.Dist})
+		dst = append(dst, Neighbor{ID: ss.ids.Ext(nb.ID), Dist: nb.Dist})
 	}
 	if co != nil {
 		for i := range ctx.stats {
 			co.addStats(ctx.stats[i])
 		}
 	}
-	sx.ctxs.Put(ctx)
+	ss.ctxs.Put(ctx)
 	if tr != nil {
 		obs.ObserveDur(obs.StageMerge, tr.FinishSpanN(mergeSpan, int64(len(dst)), 0))
 		obs.ObserveDur(obs.StageQuery, tr.FinishSpan(root))
 	}
-	return dst, nil
+	return dst
 }
 
-// searchShards fans the query out across all shards — concurrently when
+// getCtx draws pooled scratch sized to the set's sources: one list per
+// shard, plus one for the buffer when there is one. A DynamicIndex's
+// shard count grows, so the slices grow with it, keeping their buffers.
+func (ss *shardSet) getCtx(buf buffer) *shardCtx {
+	ctx, _ := ss.ctxs.Get().(*shardCtx)
+	if ctx == nil {
+		ctx = new(shardCtx)
+	}
+	nsrc := len(ss.shards)
+	if buf.store != nil {
+		nsrc++
+	}
+	if cap(ctx.lists) < nsrc {
+		lists := make([][]pqueue.Neighbor, nsrc)
+		copy(lists, ctx.lists[:cap(ctx.lists)])
+		ctx.lists, ctx.stats = lists, make([]core.SearchStats, nsrc)
+	}
+	ctx.lists, ctx.stats = ctx.lists[:nsrc], ctx.stats[:nsrc]
+	return ctx
+}
+
+// scanShards fans the query out across all shards — concurrently when
 // asked and more than one CPU is available — filling ctx.lists with the
-// per-shard top-k (global ids, ascending by distance) and ctx.stats
-// with each shard's work counters. The per-shard buffers are reused
-// across queries.
-func (sx *ShardedIndex) searchShards(q []float32, k, lambda int, parallel bool, f *Filter, ctx *shardCtx, tr *Trace, parent int) {
-	s := len(sx.shards)
-	lambdaShard := (lambda + s - 1) / s
-	if !parallel || s == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := range sx.shards {
-			sx.scanShard(i, q, k, lambdaShard, f, ctx, tr, parent)
+// per-shard top-k (global slots, ascending by distance) and ctx.stats
+// with each shard's work counters.
+func (ss *shardSet) scanShards(q []float32, k, lambda int, parallel bool, f *Filter, ctx *shardCtx, tr *Trace, parent int) {
+	if !parallel || len(ss.shards) == 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := range ss.shards {
+			ss.scanShard(i, q, k, lambda, f, ctx, tr, parent)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for i := range sx.shards {
+	for i := range ss.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sx.scanShard(i, q, k, lambdaShard, f, ctx, tr, parent)
+			ss.scanShard(i, q, k, lambda, f, ctx, tr, parent)
 		}(i)
 	}
 	wg.Wait()
 }
 
-// scanShard runs shard i's scan into its ctx slots. A filtered scan
-// fetches k (its predicate already rejects tombstones); an unfiltered
-// one over-fetches by the shard's tombstone count.
-func (sx *ShardedIndex) scanShard(i int, q []float32, k, lambdaShard int, f *Filter, ctx *shardCtx, tr *Trace, parent int) {
-	off := sx.offsets[i]
+// scanShard runs shard i's scan at its share of λ into its ctx slots. A
+// filtered scan fetches k (its predicate already rejects tombstones); an
+// unfiltered one over-fetches by the shard's tombstone count.
+func (ss *shardSet) scanShard(i int, q []float32, k, lambda int, f *Filter, ctx *shardCtx, tr *Trace, parent int) {
+	off := ss.offsets[i]
 	var accept func(int) bool
-	fetch := sx.shardFetch(i, k)
+	fetch := ss.fetch(i, k)
 	if !f.Empty() {
-		accept, fetch = sx.acceptFunc(f, off), k
+		accept, fetch = ss.acceptFunc(f, off), k
 	}
-	ctx.lists[i], ctx.stats[i] = sx.shards[i].scan(q, fetch, lambdaShard, off, f, accept, ctx.lists[i], tr, parent, i)
+	ctx.lists[i], ctx.stats[i] = ss.shards[i].scan(q, fetch, ss.shardBudget(i, lambda), off, f, accept, ctx.lists[i], tr, parent, i)
 }
 
-// shardFetch returns the tombstone-aware fetch for shard s.
-func (sx *ShardedIndex) shardFetch(s, k int) int {
-	if sx.shardDead == nil {
-		return k
+// scanBuffer scans the buffer exactly into best (already Reset to the
+// wanted depth) and appends its sorted contents to dst[:0]: every live
+// row matching f. Rows the filter rejects still paid for their distance
+// (Comparisons) but are not candidates, matching the core accounting.
+func (ss *shardSet) scanBuffer(buf buffer, q []float32, f *Filter, best *pqueue.KBest, dst []pqueue.Neighbor, tr *Trace, parent int) ([]pqueue.Neighbor, core.SearchStats) {
+	sp := tr.StartSpan(obs.StageBufferScan, parent)
+	lo, hi := ss.rows(), buf.store.Len()
+	rejected := 0
+	buf.store.Scan(lo, hi, q, buf.metric, func(slot int, dist float64) {
+		if ss.dead[slot] {
+			return
+		}
+		if !f.Matches(ss.attrs.Row(slot)) {
+			rejected++
+			return
+		}
+		best.Add(slot, dist)
+	})
+	// The scan reads every row's full float32 payload exactly once.
+	st := core.SearchStats{
+		Comparisons:    hi - lo,
+		Candidates:     hi - lo - rejected,
+		BytesScanned:   int64(hi-lo) * int64(buf.store.Dim()) * 4,
+		FilterRejected: rejected,
 	}
-	return fetchForShard(k, sx.shardDead[s], sx.offsets[s+1]-sx.offsets[s])
+	if tr != nil {
+		obs.ObserveDur(obs.StageBufferScan, tr.FinishSpanCost(sp, int64(st.Comparisons), int64(st.Candidates), st.BytesScanned))
+	}
+	return best.AppendSorted(dst[:0]), st
 }
 
-// fetchForShard is the single over-fetch policy shared by ShardedIndex
-// and DynamicIndex (their results must stay conformant): how many
-// candidates a shard must yield for k live results to survive tombstone
-// filtering — k plus the shard's own tombstone count, clamped to the
-// shard's size so the fetch never grows past what the shard holds.
-func fetchForShard(k, dead, shardLen int) int {
-	fetch := k + dead
-	if fetch > shardLen {
-		fetch = shardLen
+// rows returns the number of slots the shards index.
+func (ss *shardSet) rows() int { return ss.offsets[len(ss.offsets)-1] }
+
+// shardBudget is shard s's share of the candidate budget λ: ⌈λ·n_s/n⌉
+// for a shard of n_s of the n indexed rows. Every shard gets at least
+// one candidate, equal shards get ⌈λ/S⌉, and λ ≥ n gives every shard
+// at least its own row count, so an exhaustive budget stays exhaustive
+// however uneven the shards are. The product is formed in int64 from
+// the quotient and remainder of λ/n, so no λ overflows it.
+func (ss *shardSet) shardBudget(s, lambda int) int {
+	n, ns := int64(ss.rows()), int64(ss.offsets[s+1]-ss.offsets[s])
+	whole, rem := int64(lambda)/n, int64(lambda)%n
+	return int(whole*ns + (rem*ns+n-1)/n)
+}
+
+// fetch returns how many results shard s must yield for k live ones to
+// survive tombstone filtering: k plus the shard's own tombstone count,
+// clamped to the shard's size so the fetch never grows past what the
+// shard holds.
+func (ss *shardSet) fetch(s, k int) int {
+	fetch := k
+	if ss.shardDead != nil {
+		fetch += ss.shardDead[s]
 	}
-	return fetch
+	return min(fetch, ss.offsets[s+1]-ss.offsets[s])
+}
+
+// appendShard adds ix as the shard covering the next ix.Len() slots,
+// with dead of them already tombstoned.
+func (ss *shardSet) appendShard(ix *Index, dead int) {
+	ss.shards = append(ss.shards, ix)
+	ss.offsets = append(ss.offsets, ss.rows()+ix.Len())
+	ss.shardDead = append(ss.shardDead, dead)
+}
+
+// copyTo installs a copy of the set in dst — the hand-off between the
+// two facades (a DynamicIndex snapshot, a warm restart from a
+// ShardedIndex). The shards and attribute rows are immutable and
+// shared; the shard table, tombstone counts and tombstone set are
+// copied, so later writes to either side never reach the other. rows
+// caps dst's attribute view; ids is the id map dst adopts.
+func (ss *shardSet) copyTo(dst *shardSet, rows int, ids *idmap.Map) {
+	dst.shards = append([]*Index(nil), ss.shards...)
+	dst.offsets = append([]int(nil), ss.offsets...)
+	dst.shardDead = make([]int, len(ss.shards))
+	copy(dst.shardDead, ss.shardDead)
+	dst.dead = make(map[int]bool, len(ss.dead))
+	for slot := range ss.dead {
+		dst.dead[slot] = true
+	}
+	dst.ids = ids
+	dst.attrs = ss.attrs.Slice(rows)
+}
+
+// shardOf returns the shard covering slot, or -1 when the slot lies past
+// the indexed rows.
+func (ss *shardSet) shardOf(slot int) int {
+	if slot >= ss.rows() {
+		return -1
+	}
+	return sort.SearchInts(ss.offsets, slot+1) - 1
+}
+
+// acceptFunc builds the per-shard candidate predicate of a filtered or
+// cursor query: live (not tombstoned) and matching the filter; nil when
+// neither tombstones nor filter terms exclude anything. local ids are
+// shard-local; off is the shard's slot offset.
+func (ss *shardSet) acceptFunc(f *Filter, off int) func(int) bool {
+	attrs, dead := ss.attrs, ss.dead
+	if len(dead) == 0 {
+		if f.Empty() {
+			return nil
+		}
+		return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
+	}
+	return func(local int) bool {
+		glob := local + off
+		return !dead[glob] && f.Matches(attrs.Row(glob))
+	}
 }
 
 // filterPlan is the filter planner's choice for one shard scan, kept
@@ -445,28 +563,10 @@ func (sx *ShardedIndex) slotFor(id int) (int, bool) {
 		}
 		slot = s
 	}
-	if slot < 0 || slot >= sx.slots() || (sx.dead != nil && sx.dead[slot]) {
+	if slot < 0 || slot >= sx.rows() || sx.dead[slot] {
 		return 0, false
 	}
 	return slot, true
-}
-
-// acceptFunc builds the per-shard candidate predicate of a filtered or
-// cursor query: live (not tombstoned) and matching the filter; nil when
-// neither tombstones nor filter terms exclude anything. local ids are
-// shard-local; off is the shard's global offset.
-func (sx *ShardedIndex) acceptFunc(f *Filter, off int) func(int) bool {
-	attrs, dead := sx.attrs, sx.dead
-	if dead == nil {
-		if f.Empty() {
-			return nil
-		}
-		return func(local int) bool { return f.Matches(attrs.Row(local + off)) }
-	}
-	return func(local int) bool {
-		glob := local + off
-		return !dead[glob] && f.Matches(attrs.Row(glob))
-	}
 }
 
 // Distance returns the index's metric distance between two vectors.
@@ -492,12 +592,7 @@ func (sx *ShardedIndex) Dim() int { return sx.dim }
 
 // Len returns the number of live (searchable) vectors: tombstoned rows
 // carried by a dynamic snapshot are not counted.
-func (sx *ShardedIndex) Len() int { return sx.slots() - len(sx.dead) }
-
-// slots returns the total number of physical rows the shards index,
-// including tombstoned ones — the length of the data slice Save/Load
-// round-trips work with.
-func (sx *ShardedIndex) slots() int { return sx.offsets[len(sx.offsets)-1] }
+func (sx *ShardedIndex) Len() int { return sx.rows() - len(sx.dead) }
 
 // Deleted returns the number of tombstoned rows this index carries
 // (non-zero only for dynamic snapshots taken with pending deletes).
